@@ -66,6 +66,15 @@ def _load_hypergraph(source):
         raise _CliError("cannot parse hypergraph %s: %s" % (source, exc))
 
 
+def _limits(args):
+    """The node budget of --limit-nodes; 0 is a budget, not "no limit"."""
+    if args.limit_nodes is None:
+        return None
+    if args.limit_nodes < 0:
+        raise _CliError("--limit-nodes must be nonnegative")
+    return SearchLimits(args.limit_nodes)
+
+
 def _emit(text):
     sys.stdout.write(text)
 
@@ -88,8 +97,7 @@ def _cmd_min_above(args):
         method = "rank4"
     elif args.general:
         method = "general"
-    limits = SearchLimits(args.limit_nodes) if args.limit_nodes else None
-    report = min_above(m, method=method, limits=limits, threads=args.threads)
+    report = min_above(m, method=method, limits=_limits(args), threads=args.threads)
     classes = None
     if args.group_by_symmetry:
         classes = group_by_symmetry(report.maximal, m)
@@ -236,8 +244,7 @@ def _cmd_catalog(args):
 def _cmd_steiner(args):
     from .experiments import steiner_experiment
 
-    limits = SearchLimits(args.limit_nodes) if args.limit_nodes else None
-    report = steiner_experiment(args.q, args.kind, limits=limits, threads=args.threads)
+    report = steiner_experiment(args.q, args.kind, limits=_limits(args), threads=args.threads)
     obj = {
         "q": report.q,
         "kind": report.kind,

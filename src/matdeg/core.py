@@ -19,7 +19,7 @@ from .bitsets import (
     masks_of_size,
     points_of,
 )
-from .errors import AxiomViolation, RankMismatch
+from .errors import AxiomViolation, MatdegError, RankMismatch
 
 
 def _normalize_circuit_masks(masks):
@@ -164,30 +164,6 @@ class Matroid:
             else:
                 break
         return m
-
-    def parallel_classes(self):
-        """Nontrivial parallel classes (among non-loop points) as masks."""
-        parent = list(range(self.d + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        pairs = [c for c in self.circuit_masks if c.bit_count() == 2]
-        for c in pairs:
-            a, b = points_of(c)
-            parent[find(a)] = find(b)
-        classes = {}
-        for c in pairs:
-            for p in points_of(c):
-                classes.setdefault(find(p), 0)
-        for p in range(1, self.d + 1):
-            r = find(p)
-            if r in classes:
-                classes[r] |= bit(p)
-        return tuple(sorted(classes.values(), key=canon_key))
 
     def is_simple(self):
         return all(c.bit_count() > 2 for c in self.circuit_masks)
@@ -539,10 +515,7 @@ def simplify(m):
     parent = {}
     for c in m.circuit_masks:
         if c.bit_count() == 2:
-            a, b = points_of(c)
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+            _union(parent, *points_of(c))
     reps = []
     rep_of = {}
     for p in range(1, m.d + 1):
@@ -571,12 +544,20 @@ def simplify(m):
 
 
 def _find(parent, x):
+    """Union-find root of x; ``parent`` maps non-roots to their parents."""
     root = x
     while parent.get(root, root) != root:
         root = parent[root]
     while parent.get(x, x) != x:
         parent[x], x = root, parent[x]
     return root
+
+
+def _union(parent, a, b):
+    """Join the classes of a and b under the smaller of their roots."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
 
 
 # -- subspaces, degrees and the structural predicates ------------------------
@@ -668,13 +649,12 @@ def is_nilpotent(m):
     return True
 
 
-def is_inductively_connected(m, method="backtracking"):
+def is_inductively_connected(m):
     """Search for a build order: a basis first, then points of degree <= 2.
 
     Returns (flag, witness) where witness is a permutation of [d] when the
-    flag is true.  The default is a depth-first search over extension orders
-    with a failed-state memo; ``method="greedy"`` takes the first admissible
-    point at every step and may miss witnesses (kept for experiments only).
+    flag is true.  The search is depth-first over extension orders with a
+    failed-state memo.
     """
     d, n = m.d, m.n
     fm = full_mask(d)
@@ -696,21 +676,6 @@ def is_inductively_connected(m, method="backtracking"):
                     if count > 2:
                         return False
         return True
-
-    if method == "greedy":
-        if not all_bases:
-            return (d == 0, ()) if d == 0 else (False, None)
-        state = all_bases[0]
-        order = list(points_of(state))
-        while state != fm:
-            for p in points_of(fm & ~state):
-                if extendable(state, p):
-                    state |= bit(p)
-                    order.append(p)
-                    break
-            else:
-                return False, None
-        return True, tuple(order)
 
     failed = set()
 
@@ -736,13 +701,17 @@ def is_inductively_connected(m, method="backtracking"):
     return False, None
 
 
+class _GroundSetTooLarge(MatdegError, ValueError):
+    """The input's ground set exceeds a size limit of the algorithm."""
+
+
 def dependent_bitmap(m):
     """Bitmap over all 2^d subsets: bit s set iff subset-mask s is dependent.
 
     Only sensible for small ground sets (d <= 20).
     """
     if m.d > 20:
-        raise ValueError("dependent bitmap is limited to d <= 20")
+        raise _GroundSetTooLarge("dependent bitmap is limited to d <= 20")
     size = 1 << m.d
     dep = bytearray(size)
     for c in m.circuit_masks:

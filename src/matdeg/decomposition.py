@@ -97,7 +97,7 @@ def default_hints():
     The Fano plane is flagged non-realizable, matching its published
     decomposition, in which no Fano component appears.
     """
-    from .catalog import catalog as named, k33dual_degeneration_reps
+    from .catalog import catalog as named
 
     realizable = {}
     for name in ("qs", "grid33", "threelines", "k33dual", "vamosa"):
@@ -147,7 +147,7 @@ def load_hints(name_or_obj):
         return paper_hints()
     if name_or_obj == "none":
         return Hints()
-    from .catalog import catalog as named, k33dual_degeneration_reps
+    from .catalog import catalog as named
 
     def to_hash(entry):
         if isinstance(entry, str) and len(entry) == 64 and all(

@@ -10,7 +10,14 @@ a fresh contiguous ground set and returns the quotient map.
 from itertools import combinations
 
 from .bitsets import bit, canon_key, full_mask, mask_of, points_of
-from .core import Matroid, QuotientMap, _normalize_circuit_masks, check_circuit_axioms
+from .core import (
+    Matroid,
+    QuotientMap,
+    _find,
+    _normalize_circuit_masks,
+    _union,
+    check_circuit_axioms,
+)
 from .errors import ConditionsFailed
 
 
@@ -167,29 +174,18 @@ def reduce(hg):
     if hg.vertices != full_mask(hg.d):
         raise ValueError("reduction requires a full vertex set")
     parent = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
     for e in hg.by_bound(1):
         pts = points_of(e)
         for p in pts[1:]:
-            ra, rb = find(pts[0]), find(p)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    reps = sorted({find(p) for p in range(1, hg.d + 1)})
+            _union(parent, pts[0], p)
+    reps = sorted({_find(parent, p) for p in range(1, hg.d + 1)})
     new_label = {r: i + 1 for i, r in enumerate(reps)}
-    target = tuple(new_label[find(p)] for p in range(1, hg.d + 1))
+    target = tuple(new_label[_find(parent, p)] for p in range(1, hg.d + 1))
     qmap = QuotientMap(hg.d, target)
     raw = []
     for e, b in hg.edges:
         if b >= 2:
-            raw.append((mask_of(new_label[find(p)] for p in points_of(e)), b))
+            raw.append((mask_of(new_label[_find(parent, p)] for p in points_of(e)), b))
     q = len(reps)
     red = LabeledHypergraph(q, hg.n, full_mask(q), _normalize_edges(raw, hg.n))
     return red, qmap

@@ -1,23 +1,35 @@
 """Maximal matroid degenerations.
 
-Two search paths share one engine shape: a stack of labeled hypergraphs is
-expanded pair-by-pair until no rank-bound conflict remains, at which point
-the unique maximal matroid below the stable hypergraph is emitted.
+One depth-first engine expands a stack of labeled hypergraphs until no
+rank-bound conflict remains; each stable hypergraph yields the unique maximal
+matroid below it, and a hypergraph bounded at rank <= 2 yields a closed-form
+matroid.  Branching is justified by submodularity: when two edges overvalue
+their union and intersection, any matroid below the hypergraph satisfies the
+tightened bound on at least one of the two.
 
-The general path starts one search per independent set (declared newly
-dependent); the rank-4 path stratifies by the size of the first new circuit
-and prunes branches that cannot stay inside the stratum.  Branching is
-justified by submodularity: when two edges overvalue their union and
-intersection, any matroid below the hypergraph satisfies the tightened
-bound on at least one of the two.
+Two branching rules feed the engine.  The general rule starts one search per
+independent set (declared newly dependent).  The rank-4 rule stratifies by
+the size of the first new circuit, prunes branches that cannot stay inside
+the stratum and, in the double-point stratum, identifies points.  One root
+driver runs the independent search roots, serially or over worker processes.
 """
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 
-from .bitsets import canon_key, masks_of_size, points_of
-from .core import Matroid, QuotientMap, designate_loop, independent_masks
+from .bitsets import masks_of_size, points_of
+from .core import (
+    Matroid,
+    QuotientMap,
+    _find,
+    _union,
+    designate_loop,
+    independent_masks,
+    uniform_matroid,
+)
 from .errors import BudgetExceeded, NotRankFour, NotSimple
 from .hypergraph import (
     _matroid_from_hypergraph_unchecked,
@@ -25,7 +37,7 @@ from .hypergraph import (
     reduce as reduce_hypergraph,
     with_edge,
 )
-from .weak_order import maximal_elements
+from .weak_order import compare, maximal_elements
 
 
 class SearchStats:
@@ -43,6 +55,7 @@ class SearchStats:
         self.nodes += other.nodes
         self.emitted += other.emitted
         self.comparisons += other.comparisons
+        self.wall_time += other.wall_time
 
     def as_dict(self):
         return {
@@ -84,18 +97,21 @@ class DegenerationReport:
         return len(self.maximal)
 
 
-# -- general-rank engine ------------------------------------------------------
+# -- branching rules ----------------------------------------------------------
+#
+# A rule maps a hypergraph to None when no rank-bound conflict is left, or
+# else to the (mask, bound) edges whose addition splits the first conflict.
+
+
+_IDENTIFY = "identify"  # bound marker: add (mask, 1) and identify its points
 
 
 def _scan_general(hg):
     """First conflicting edge pair, in canonical pair order.
 
-    Returns None when the hypergraph already meets the pairwise matroid
-    conditions, otherwise an action tuple:
-      ("retype", mask, bound)          -- a nested edge forces a lower bound
-      ("branch", (u, bu), (i, bi))     -- submodularity split on union and
-                                          intersection (bounds may be
-                                          infeasible, i.e. negative)
+    A nested edge forces one lower bound; two edges that overvalue their
+    union and intersection split on the submodularity bound for each (either
+    bound may be infeasible, i.e. negative).
     """
     edges = hg.edges
     n = hg.n
@@ -120,14 +136,14 @@ def _scan_general(hg):
             eb, bb = edges[b]
             if ea & ~eb == 0:  # ea properly inside eb (edges are distinct)
                 if ba > bb:
-                    return ("retype", ea, bb)
+                    return [(ea, bb)]
                 if bb > ba + (eb & ~ea).bit_count():
-                    return ("retype", eb, ba + (eb & ~ea).bit_count())
+                    return [(eb, ba + (eb & ~ea).bit_count())]
             elif eb & ~ea == 0:
                 if bb > ba:
-                    return ("retype", eb, ba)
+                    return [(eb, ba)]
                 if ba > bb + (ea & ~eb).bit_count():
-                    return ("retype", ea, bb + (ea & ~eb).bit_count())
+                    return [(ea, bb + (ea & ~eb).bit_count())]
             inter = ea & eb
             union = ea | eb
             vi = val(inter)
@@ -135,8 +151,47 @@ def _scan_general(hg):
             s = vi + vu - ba - bb
             if s > 0:
                 half = -(-s // 2)  # ceil
-                return ("branch", (union, vu - half), (inter, vi - half))
+                return [(union, vu - half), (inter, vi - half)]
     return None
+
+
+def _scan_rank4(hg, v):
+    """First conflicting pair under the rank-4 case analysis of stratum v;
+    the identify branch only exists for v = 2."""
+    edges = hg.edges
+    twos = [e for e, b in edges if b == 2]
+    threes = [e for e, b in edges if b == 3]
+    for a in range(len(edges)):
+        ea, ba = edges[a]
+        for b in range(a + 1, len(edges)):
+            eb, bb = edges[b]
+            inter = ea & eb
+            k = inter.bit_count()
+            if ba == 3 and bb == 3:
+                if k >= 3 and not any(inter & ~z == 0 for z in twos):
+                    branches = [(ea | eb, 3)]
+                    if v <= 3:
+                        branches.append((inter, 2))
+                    return branches
+            elif ba != bb:  # one bound-2, one bound-3 edge
+                e3, e2 = (ea, eb) if ba == 3 else (eb, ea)
+                if k >= 2 and e2 & ~e3:
+                    branches = [(e3 | e2, 3)]
+                    if v == 2:
+                        branches.append((inter, _IDENTIFY))
+                    return branches
+            else:  # both bound 2
+                if k >= 2:
+                    branches = [(ea | eb, 2)]
+                    if v == 2:
+                        branches.append((inter, _IDENTIFY))
+                    return branches
+                if k == 1 and not any((ea | eb) & ~z == 0 for z in threes):
+                    return [(ea | eb, 3)]
+    return None
+
+
+# -- rank <= 2 leaves ---------------------------------------------------------
 
 
 def _low_rank_signature(hg):
@@ -160,61 +215,60 @@ def _low_rank_signature(hg):
     for e, b in hg.edges:
         if b == 0:
             loops |= e
-    pts = points_of(verts)
-    parent = {p: p for p in pts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = {}
     for e, b in hg.edges:
         if b == 1:
             epts = points_of(e & ~loops)
             for p in epts[1:]:
-                ra, rb = find(epts[0]), find(p)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                _union(parent, epts[0], p)
     fibers = {}
-    for p in pts:
-        if not loops >> (p - 1) & 1:
-            fibers.setdefault(find(p), 0)
-            fibers[find(p)] |= 1 << (p - 1)
+    for p in points_of(verts & ~loops):
+        r = _find(parent, p)
+        fibers[r] = fibers.get(r, 0) | 1 << (p - 1)
     classes = tuple(fibers[r] for r in sorted(fibers))
     return (loops, classes)
 
 
-def _materialize_low_rank(d, signature):
-    """The closed-form maximal matroid for a rank <= 2 signature: loops,
-    all intra-class pairs, and transversal triples across class triples."""
-    loops, classes = signature
-    circuits = [1 << (p - 1) for p in points_of(loops)]
-    pools = []
-    for cls in classes:
-        cpts = points_of(cls)
-        pools.append(cpts)
-        for i in range(len(cpts)):
-            for j in range(i + 1, len(cpts)):
-                circuits.append((1 << (cpts[i] - 1)) | (1 << (cpts[j] - 1)))
-    rank = min(2, len(pools))
-    if len(pools) > rank:
-        from itertools import combinations as _comb
-
-        for trio in _comb(pools, rank + 1):
-            for choice in _pick_one_each(list(trio)):
-                circuits.append(choice)
-    circuits.sort(key=canon_key)
-    return Matroid(d, rank, tuple(circuits))
+def _sig_leq(sig1, sig2):
+    """Does the closed-form matroid of sig1 lie below that of sig2?  True
+    iff every dependency of sig2 (loops, intra-class pairs) holds in sig1."""
+    loops1, classes1 = sig1
+    loops2, classes2 = sig2
+    if loops2 & ~loops1:
+        return False
+    for c2 in classes2:
+        rest = c2 & ~loops1
+        if rest.bit_count() <= 1:
+            continue
+        if not any(rest & ~c1 == 0 for c1 in classes1):
+            return False
+    return True
 
 
-def _pick_one_each(pools):
-    if not pools:
-        yield 0
-        return
-    for rest in _pick_one_each(pools[1:]):
-        for p in pools[0]:
-            yield rest | (1 << (p - 1))
+def _sig_antichain(sigs):
+    """Maximal elements among low-rank signatures (cheap mask tests)."""
+    order = sorted(sigs, key=lambda s: (s[0].bit_count(), len(s[1])))
+    kept = []
+    for sig in order:
+        if any(_sig_leq(sig, k) for k in kept):
+            continue
+        kept = [k for k in kept if not _sig_leq(k, sig)]
+        kept.append(sig)
+    return kept
+
+
+def _low_rank_matroid(qmap, sig):
+    """The maximal matroid of a rank <= 2 leaf on the quotient ground set of
+    ``qmap``, lifted to the source: its loops, its parallel classes and a
+    uniform matroid of rank min(2, #classes) over the classes."""
+    loops, classes = sig
+    target = [0] * qmap.q
+    for label, cls in enumerate(classes, start=1):
+        for p in points_of(cls):
+            target[p - 1] = label
+    q = len(classes)
+    collapse = QuotientMap(len(target), target)
+    return qmap.compose(collapse).lift(uniform_matroid(min(2, q), q))
 
 
 class _RootPrune:
@@ -265,108 +319,119 @@ class _RootPrune:
         return False
 
 
-def _search_root(root, limits=None, stats=None, prune=None):
-    """Depth-first expansion of one root hypergraph.
+# -- the engine ---------------------------------------------------------------
 
-    Returns (low_signatures, matroids) where low_signatures describe the
-    rank <= 2 leaves in closed form (materialized later, after a cheap bulk
-    antichain pass) and matroids are the remaining stable-leaf emissions.
-    The node budget in ``limits`` applies to this single search, so budgeted
-    runs behave the same whether roots are solved serially or in workers.
-    ``prune`` drops states whose matroids another root covers.
+
+def _expand(root, qmap, scan, limits, prune, stats):
+    """Depth-first expansion of one root hypergraph on the quotient ground
+    set of ``qmap``, branching by the rule ``scan``.
+
+    Returns (found, low): the stable-leaf matroids lifted to the source,
+    keyed by their identity, and per quotient map a running antichain of
+    rank <= 2 leaf signatures (materialized by the caller, which may first
+    reduce them across roots).  A single live branch is applied in place.
+    ``prune`` drops split branches whose matroids another root covers.
+    Raises BudgetExceeded when the node budget in ``limits`` runs out.
     """
-    if stats is None:
-        stats = SearchStats()
     max_nodes = limits.max_nodes if limits is not None else None
-    stack = [root]
-    visited = {root.edges}
+    stack = [(root, qmap)]
+    visited = {(root, qmap)}
     found = {}
-    low_kept = []  # running antichain of closed-form signatures
+    low = {}
     nodes = 0
     try:
         while stack:
-            hg = stack.pop()
+            hg, qmap = stack.pop()
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise BudgetExceeded("node budget exhausted")
             while True:
                 sig = _low_rank_signature(hg)
                 if sig is not None:
-                    if not any(_sig_leq(sig, k) for k in low_kept):
-                        low_kept[:] = [k for k in low_kept if not _sig_leq(k, sig)]
-                        low_kept.append(sig)
+                    kept = low.setdefault(qmap, [])
+                    if not any(_sig_leq(sig, k) for k in kept):
+                        kept[:] = [k for k in kept if not _sig_leq(k, sig)]
+                        kept.append(sig)
                     break
-                action = _scan_general(hg)
-                if action is None:
+                branches = scan(hg)
+                if branches is None:
                     m = _matroid_from_hypergraph_unchecked(hg)
+                    if not qmap.is_identity():
+                        m = qmap.lift(m)
                     if m._key not in found:
                         found[m._key] = m
                         stats.emitted += 1
                     break
-                if action[0] == "retype":
-                    # forced bound drops carry no choice; apply in place
-                    hg = with_edge(hg, action[1], action[2])
-                    continue
                 live = []
-                for mask, bound in (action[1], action[2]):
-                    if bound < 0:
-                        continue  # infeasible; the sibling branch covers
-                    nxt = with_edge(hg, mask, bound)
-                    if prune is not None and prune.covered_elsewhere(nxt):
-                        continue
-                    live.append(nxt)
+                for mask, bound in branches:
+                    if bound is _IDENTIFY:
+                        red, step = reduce_hypergraph(with_edge(hg, mask, 1))
+                        live.append((red, qmap.compose(step)))
+                    elif bound >= 0:  # a negative bound is infeasible
+                        nxt = with_edge(hg, mask, bound)
+                        # forced steps are not worth a pruning test
+                        split = len(branches) > 1
+                        if split and prune is not None and prune.covered_elsewhere(nxt):
+                            continue
+                        live.append((nxt, qmap))
                 if len(live) == 1:
-                    hg = live[0]
+                    hg, qmap = live[0]
                     continue
-                for nxt in live:
-                    if nxt.edges not in visited:
-                        visited.add(nxt.edges)
-                        stack.append(nxt)
+                for state in live:
+                    if state not in visited:
+                        visited.add(state)
+                        stack.append(state)
                 break
     finally:
         stats.nodes += nodes
-    return low_kept, found
+    return found, low
 
 
-def _sig_leq(sig1, sig2):
-    """Does the closed-form matroid of sig1 lie below that of sig2?  True
-    iff every dependency of sig2 (loops, intra-class pairs) holds in sig1."""
-    loops1, classes1 = sig1
-    loops2, classes2 = sig2
-    if loops2 & ~loops1:
-        return False
-    for c2 in classes2:
-        rest = c2 & ~loops1
-        if rest.bit_count() <= 1:
-            continue
-        if not any(rest & ~c1 == 0 for c1 in classes1):
-            return False
-    return True
+def _maximal_below(root, qmap, scan, limits, prune, stats):
+    """Maximal matroids of one root expansion, low-rank leaves included."""
+    found, low = _expand(root, qmap, scan, limits, prune, stats)
+    for leaf_map, sigs in low.items():
+        for sig in sigs:
+            m = _low_rank_matroid(leaf_map, sig)
+            if m._key not in found:
+                found[m._key] = m
+                stats.emitted += 1
+    return maximal_elements(found.values(), stats)
 
 
-def _sig_antichain(sigs):
-    """Maximal elements among low-rank signatures (cheap mask tests)."""
-    order = sorted(sigs, key=lambda s: (s[0].bit_count(), len(s[1])))
-    kept = []
-    for sig in order:
-        if any(_sig_leq(sig, k) for k in kept):
-            continue
-        kept = [k for k in kept if not _sig_leq(k, sig)]
-        kept.append(sig)
-    return kept
+def _solve(job):
+    """Run one root job ``(fn, args)`` on its own counters; the result is
+    None when the root's node budget ran out."""
+    fn, args = job
+    stats = SearchStats()
+    try:
+        return fn(*args, stats), stats
+    except BudgetExceeded:
+        return None, stats
+
+
+def _run_roots(jobs, threads, stats):
+    """Yield each root job's result in job order, merging its counters into
+    ``stats``.  With threads > 1 the jobs run in worker processes; results
+    stream back in order, so the output is identical to a serial run, and
+    node budgets apply per root, so partial results are reproducible too."""
+    parallel = threads > 1 and len(jobs) > 1
+    with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+        results = pool.map(_solve, jobs, chunksize=4) if parallel else map(_solve, jobs)
+        for out, root_stats in results:
+            stats.merge(root_stats)
+            yield out
+
+
+# -- general rank -------------------------------------------------------------
 
 
 def min_above_hyp(root, limits=None, stats=None, prune=None):
     """Maximal matroids (of rank at most the ambient n) below a hypergraph."""
     if stats is None:
         stats = SearchStats()
-    low_seen, found = _search_root(root, limits, stats, prune)
-    for sig in _sig_antichain(low_seen):
-        m = _materialize_low_rank(root.d, sig)
-        if m._key not in found:
-            found[m._key] = m
-            stats.emitted += 1
-    return maximal_elements(found.values(), stats)
+    qmap = QuotientMap.identity(root.d)
+    return _maximal_below(root, qmap, _scan_general, limits, prune, stats)
 
 
 def _general_roots(m):
@@ -381,169 +446,46 @@ def _general_roots(m):
     return roots
 
 
-def _solve_root(args):
-    root, prune, max_nodes = args
-    stats = SearchStats()
-    limits = SearchLimits(max_nodes)
-    try:
-        low, found = _search_root(root, limits, stats, prune)
-        ok = True
-    except BudgetExceeded:
-        low, found = set(), {}
-        ok = False
-    return (
-        low,
-        [mm._key + (mm.n,) for mm in found.values()],
-        stats.nodes,
-        stats.emitted,
-        ok,
-    )
-
-
 def min_above_general(m, limits=None, threads=1):
     """Maximal matroid degenerations of a matroid, any rank.
 
-    Search roots are independent; with threads > 1 they are distributed over
-    worker processes and the merged output is identical to a serial run.
-    Node budgets apply per root, so partial results are also reproducible.
-    The closed-form rank <= 2 leaves are pooled across roots and reduced by
-    a cheap signature antichain before the final comparison stage.
+    Search roots are independent and run through the root driver, serially
+    or over ``threads`` worker processes with identical output.  The
+    closed-form rank <= 2 leaves are pooled across roots and reduced by a
+    cheap signature antichain before the final comparison stage.
     """
     stats = SearchStats()
     t0 = time.monotonic()
-    max_nodes = limits.max_nodes if limits is not None else None
     candidates = {}
     for i in range(1, m.d + 1):
         if not m._is_dependent_mask(1 << (i - 1)):
             loopy = designate_loop(m, i)
             candidates[loopy._key] = loopy
             stats.emitted += 1
-    roots = _general_roots(m)
-    all_sigs = set()
+    qmap = QuotientMap.identity(m.d)
+    jobs = [
+        (_expand, (root, qmap, _scan_general, limits, prune))
+        for root, prune in _general_roots(m)
+    ]
+    sigs = set()
     complete = True
-    if threads > 1 and len(roots) > 1:
-        jobs = [(root, prune, max_nodes) for root, prune in roots]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for low, keys, nodes, emitted, ok in pool.map(
-                _solve_root, jobs, chunksize=4
-            ):
-                stats.nodes += nodes
-                stats.emitted += emitted
-                complete = complete and ok
-                all_sigs.update(low)
-                for d, masks, n in keys:
-                    candidates[(d, masks)] = Matroid(d, n, masks)
-    else:
-        per_root = SearchLimits(max_nodes)
-        for root, prune in roots:
-            try:
-                low, found = _search_root(root, per_root, stats, prune)
-                all_sigs.update(low)
-                candidates.update(found)
-            except BudgetExceeded:
-                complete = False
-    for sig in _sig_antichain(all_sigs):
-        mm = _materialize_low_rank(m.d, sig)
+    for out in _run_roots(jobs, threads, stats):
+        if out is None:
+            complete = False
+            continue
+        found, low = out
+        candidates.update(found)
+        for kept in low.values():
+            sigs.update(kept)
+    for sig in _sig_antichain(sigs):
+        mm = _low_rank_matroid(qmap, sig)
         candidates.setdefault(mm._key, mm)
     maximal = maximal_elements(candidates.values(), stats)
     stats.wall_time = time.monotonic() - t0
     return DegenerationReport(m, maximal, stats, complete)
 
 
-# -- rank-4 stratified engine -------------------------------------------------
-
-
-def _scan_rank4(hg, v):
-    """First conflicting pair under the rank-4 case analysis.
-
-    Action tuples:
-      ("push", (mask, bound), ...)  -- plain branches
-      plus ("reduce", mask) entries -- add (mask, 1) and identify (v=2 only)
-    """
-    edges = hg.edges
-    twos = [e for e, b in edges if b == 2]
-    threes = [e for e, b in edges if b == 3]
-    for a in range(len(edges)):
-        ea, ba = edges[a]
-        for b in range(a + 1, len(edges)):
-            eb, bb = edges[b]
-            inter = ea & eb
-            k = inter.bit_count()
-            if ba == 3 and bb == 3:
-                if k >= 3 and not any(inter & ~z == 0 for z in twos):
-                    branches = [("push", ea | eb, 3)]
-                    if v <= 3:
-                        branches.append(("push", inter, 2))
-                    return branches
-            elif ba != bb:  # one bound-2, one bound-3 edge
-                e3, e2 = (ea, eb) if ba == 3 else (eb, ea)
-                if k >= 2 and e2 & ~e3:
-                    branches = [("push", e3 | e2, 3)]
-                    if v == 2:
-                        branches.append(("reduce", inter))
-                    return branches
-            else:  # both bound 2
-                if k >= 2:
-                    branches = [("push", ea | eb, 2)]
-                    if v == 2:
-                        branches.append(("reduce", inter))
-                    return branches
-                if k == 1 and not any((ea | eb) & ~z == 0 for z in threes):
-                    return [("push", ea | eb, 3)]
-    return None
-
-
-def _rank4_search(root, qmap0, v, limits=None, stats=None):
-    """Emit lifted maximal matroids for one stratified root hypergraph."""
-    if stats is None:
-        stats = SearchStats()
-    max_nodes = limits.max_nodes if limits is not None else None
-    stack = [(root, qmap0)]
-    visited = {(root.edges, qmap0.target)}
-    found = {}
-    nodes = 0
-    def emit(m, qmap):
-        if not qmap.is_identity():
-            m = qmap.lift(m)
-        if m._key not in found:
-            found[m._key] = m
-            stats.emitted += 1
-
-    low_seen = set()
-    try:
-        while stack:
-            hg, qmap = stack.pop()
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise BudgetExceeded("node budget exhausted")
-            while True:
-                sig = _low_rank_signature(hg)
-                if sig is not None:
-                    if (sig, qmap.target) not in low_seen:
-                        low_seen.add((sig, qmap.target))
-                        emit(_materialize_low_rank(hg.d, sig), qmap)
-                    break
-                action = _scan_rank4(hg, v)
-                if action is None:
-                    emit(_matroid_from_hypergraph_unchecked(hg), qmap)
-                    break
-                if len(action) == 1 and action[0][0] == "push":
-                    hg = with_edge(hg, action[0][1], action[0][2])
-                    continue
-                for branch in action:
-                    if branch[0] == "push":
-                        nxt, nmap = with_edge(hg, branch[1], branch[2]), qmap
-                    else:
-                        red, step = reduce_hypergraph(with_edge(hg, branch[1], 1))
-                        nxt, nmap = red, qmap.compose(step)
-                    key = (nxt.edges, nmap.target)
-                    if key not in visited:
-                        visited.add(key)
-                        stack.append((nxt, nmap))
-                break
-    finally:
-        stats.nodes += nodes
-    return maximal_elements(found.values(), stats)
+# -- rank 4 -------------------------------------------------------------------
 
 
 def _circuit_profile(m, size):
@@ -580,18 +522,6 @@ def _stratum_roots(m, v):
     return roots
 
 
-def _solve_stratum_root(args):
-    root, qmap, v, max_nodes = args
-    stats = SearchStats()
-    try:
-        out = _rank4_search(root, qmap, v, SearchLimits(max_nodes), stats)
-        ok = True
-    except BudgetExceeded:
-        out = []
-        ok = False
-    return [mm._key + (mm.n,) for mm in out], stats.nodes, stats.emitted, ok
-
-
 def stratum_min(m, v, limits=None, stats=None, threads=1):
     """Maximal degenerations whose first new circuit appears in size v.
 
@@ -603,26 +533,17 @@ def stratum_min(m, v, limits=None, stats=None, threads=1):
         raise ValueError("stratum index must be 2, 3 or 4")
     if stats is None:
         stats = SearchStats()
-    max_nodes = limits.max_nodes if limits is not None else None
+    scan = partial(_scan_rank4, v=v)
+    jobs = [
+        (_maximal_below, (root, qmap, scan, limits, None))
+        for root, qmap in _stratum_roots(m, v)
+    ]
     candidates = {}
-    roots = _stratum_roots(m, v)
-    if threads > 1 and len(roots) > 1:
-        jobs = [(root, qmap, v, max_nodes) for root, qmap in roots]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for keys, nodes, emitted, ok in pool.map(
-                _solve_stratum_root, jobs, chunksize=4
-            ):
-                stats.nodes += nodes
-                stats.emitted += emitted
-                if not ok:
-                    raise BudgetExceeded("node budget exhausted")
-                for d, masks, n in keys:
-                    candidates[(d, masks)] = Matroid(d, n, masks)
-    else:
-        per_root = SearchLimits(max_nodes)
-        for root, qmap in roots:
-            for mm in _rank4_search(root, qmap, v, per_root, stats):
-                candidates[mm._key] = mm
+    for out in _run_roots(jobs, threads, stats):
+        if out is None:
+            raise BudgetExceeded("node budget exhausted")
+        for mm in out:
+            candidates[mm._key] = mm
     kept = [mm for mm in candidates.values() if _in_stratum(mm, m, v)]
     return maximal_elements(kept, stats)
 
@@ -644,18 +565,9 @@ def min_above_rank4(m, limits=None, threads=1):
             strata[v] = []
             complete = False
 
-    memo = {}
-
     def leq(a, b):
-        key = (id(a), id(b))
-        r = memo.get(key)
-        if r is None:
-            from .weak_order import compare
-
-            r = compare(a, b)
-            memo[key] = r
-            stats.comparisons += 1
-        return r
+        stats.comparisons += 1
+        return compare(a, b)
 
     l4 = list(strata[4])
     l3 = [x for x in strata[3] if not any(leq(x, y) for y in l4)]
@@ -674,7 +586,8 @@ def min_above_hyp_rank4(root, limits=None, stats=None):
     qmap = QuotientMap.identity(root.d)
     candidates = {}
     for v in (2, 3, 4):
-        for mm in _rank4_search(root, qmap, v, limits, stats):
+        scan = partial(_scan_rank4, v=v)
+        for mm in _maximal_below(root, qmap, scan, limits, None, stats):
             candidates[mm._key] = mm
     return maximal_elements(candidates.values(), stats)
 

@@ -259,7 +259,7 @@ def test_inductively_connected(qs, fano, small_matroids):
 
 def test_inductively_connected_witness_from_published_example():
     # rank-4 paving matroid on [8] whose witness order interleaves the
-    # planes; the greedy mode may or may not find it, the search must
+    # planes; the search must find it
     planes = [(1, 2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8), (1, 2, 7, 8)]
     from matdeg.catalog import paving_from_hyperplanes
 

@@ -38,6 +38,12 @@ def test_decompose_fano_published(fano):
     assert all(c.status == "irreducible-proven" for c in result.components)
 
 
+def test_decompose_stats_keep_search_wall_time(fano):
+    stats = decompose(fano, hints=paper_hints()).stats
+    assert stats.nodes > 0
+    assert stats.wall_time > 0
+
+
 def test_decompose_k33dual_hinted(k33dual):
     result = decompose(k33dual, hints=paper_hints())
     assert result.complete

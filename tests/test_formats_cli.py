@@ -4,9 +4,12 @@ import io
 import json
 import sys
 
+import pytest
+
 import matdeg as md
 from matdeg import formats
 from matdeg.cli import main
+from matdeg.core import dependent_bitmap
 
 
 def run_cli(*argv):
@@ -87,6 +90,38 @@ def test_cli_budget_exit_code():
     code, out = run_cli("min-above", "catalog:fano", "--limit-nodes", "1", "--json")
     assert code == 3
     assert json.loads(out)["complete"] is False
+
+
+def test_cli_zero_node_budget_is_a_budget():
+    code, out = run_cli("min-above", "catalog:fano", "--limit-nodes", "0", "--json")
+    assert code == 3
+    assert json.loads(out)["complete"] is False
+    code, _ = run_cli(
+        "steiner-experiment", "--q", "2", "--kind", "projective", "--limit-nodes", "0"
+    )
+    assert code == 3
+    code, _ = run_cli("min-above", "catalog:fano", "--limit-nodes", "-1")
+    assert code == 2
+    code, _ = run_cli(
+        "steiner-experiment", "--q", "2", "--kind", "projective", "--limit-nodes", "-1"
+    )
+    assert code == 2
+
+
+def test_cli_ground_set_limit_is_input_error(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("21 20\n1 2 3\n")  # non-uniform, beyond the d <= 20 bitmap
+    big = formats.loads_matroid(path.read_text())
+    with pytest.raises(md.MatdegError) as info:
+        dependent_bitmap(big)
+    assert isinstance(info.value, ValueError)
+    for argv in (
+        ("isomorphic", str(path), str(path)),
+        ("automorphisms", str(path)),
+        ("decompose", str(path)),
+    ):
+        code, _ = run_cli(*argv)
+        assert code == 2, argv
 
 
 def test_cli_isomorphic():

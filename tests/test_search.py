@@ -285,3 +285,29 @@ def test_deterministic_across_threads(fano):
     serial = min_above_general(fano, threads=1)
     parallel = min_above_general(fano, threads=4)
     assert list(serial.maximal) == list(parallel.maximal)
+
+
+def _counters(report):
+    out = report.stats.as_dict()
+    del out["wall_time"]
+    return out
+
+
+def test_serial_and_pooled_search_agree(fano):
+    threepairs = md.catalog("threepairs")
+    for search, m in ((min_above_rank4, threepairs), (min_above_general, fano)):
+        serial = search(m, threads=1)
+        pooled = search(m, threads=2)
+        assert list(pooled.maximal) == list(serial.maximal)
+        assert _counters(pooled) == _counters(serial)
+
+
+def test_pooled_budgets_match_serial(fano, vamos):
+    serial = min_above_general(fano, md.SearchLimits(2))
+    pooled = min_above_general(fano, md.SearchLimits(2), threads=2)
+    assert not pooled.complete and not serial.complete
+    assert list(pooled.maximal) == list(serial.maximal)
+    assert _counters(pooled) == _counters(serial)
+    for threads in (1, 2):
+        with pytest.raises(md.BudgetExceeded):
+            stratum_min(vamos, 2, md.SearchLimits(1), threads=threads)
