@@ -8,6 +8,7 @@ exhausted (partial output still emitted), 4 internal invariant failure.
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import catalog as named_matroid, catalog_names
@@ -16,7 +17,7 @@ from .decomposition import decompose, load_hints
 from .errors import MatdegError
 from .hypergraph import reduce as reduce_hypergraph
 from .isomorphism import are_isomorphic, automorphisms, group_by_symmetry
-from .search import SearchLimits, default_thread_count, min_above
+from .search import SearchLimits, min_above
 from .weak_order import compare
 
 USAGE_ERROR = 2
@@ -75,6 +76,21 @@ def _limits(args):
     return SearchLimits(args.limit_nodes)
 
 
+def _threads(args):
+    """The worker count of --threads, else of MATDEG_THREADS, else 1; a
+    count that is not a positive integer is an input error."""
+    value = args.threads
+    if value is None:
+        value = os.environ.get("MATDEG_THREADS") or 1
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise _CliError("thread count must be a positive integer, got %r" % (value,))
+    return count
+
+
 def _emit(text):
     sys.stdout.write(text)
 
@@ -97,7 +113,7 @@ def _cmd_min_above(args):
         method = "rank4"
     elif args.general:
         method = "general"
-    report = min_above(m, method=method, limits=_limits(args), threads=args.threads)
+    report = min_above(m, method=method, limits=_limits(args), threads=_threads(args))
     classes = None
     if args.group_by_symmetry:
         classes = group_by_symmetry(report.maximal, m)
@@ -127,7 +143,7 @@ def _cmd_decompose(args):
         except (OSError, ValueError, KeyError) as exc:
             raise _CliError("cannot load hints %s: %s" % (args.hints, exc))
     result = decompose(
-        m, hints=hints, max_depth=args.max_depth, budget=args.budget, threads=args.threads
+        m, hints=hints, max_depth=args.max_depth, budget=args.budget, threads=_threads(args)
     )
     if args.json:
         obj = {
@@ -244,7 +260,7 @@ def _cmd_catalog(args):
 def _cmd_steiner(args):
     from .experiments import steiner_experiment
 
-    report = steiner_experiment(args.q, args.kind, limits=_limits(args), threads=args.threads)
+    report = steiner_experiment(args.q, args.kind, limits=_limits(args), threads=_threads(args))
     obj = {
         "q": report.q,
         "kind": report.kind,
@@ -293,7 +309,7 @@ def build_parser():
     p.add_argument("--group-by-symmetry", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--limit-nodes", type=int, default=None, metavar="N")
-    p.add_argument("--threads", type=int, default=default_thread_count())
+    p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_min_above)
 
@@ -302,7 +318,7 @@ def build_parser():
     p.add_argument("--hints", default=None, help="'paper', 'none' or a JSON file")
     p.add_argument("--max-depth", type=int, default=8, metavar="K")
     p.add_argument("--budget", type=int, default=None, metavar="N")
-    p.add_argument("--threads", type=int, default=default_thread_count())
+    p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_decompose)
 
@@ -332,7 +348,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--kind", choices=["projective", "affine"], required=True)
     p.add_argument("--limit-nodes", type=int, default=None, metavar="N")
-    p.add_argument("--threads", type=int, default=default_thread_count())
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--stats", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_steiner)
@@ -364,3 +380,7 @@ def main(argv=None):
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

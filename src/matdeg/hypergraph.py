@@ -116,8 +116,7 @@ def delta_of_matroid(m, n=None):
     """Edges of bound i = cyclic flats of rank i, for 0 <= i <= n-1.
 
     With the default n = rank(m) a rank-deficient ground set never shows up;
-    passing a larger ambient n records it, which the comparison and the
-    rank-4 stratification rely on.
+    passing a larger ambient n records it.
     """
     key = n = m.n if n is None else n
     cached = m._delta_cache.get(key)
@@ -130,7 +129,7 @@ def delta_of_matroid(m, n=None):
 
 def leq_hyper(m, hg):
     """True iff rank_m(e) <= bound for every edge; for hg = delta of M this
-    is exactly the weak-order comparison m <= M."""
+    is exactly the weak-order comparison m <= M when rank(m) <= hg.n."""
     if m.d != hg.d:
         raise ValueError("ground sets differ")
     return all(m._rank_mask(e) <= b for e, b in hg.edges)
@@ -141,26 +140,11 @@ def remove_vertex(hg, k):
 
     Labels are preserved (the active vertex mask shrinks).
     """
-    return drop_vertices(hg, bit(k))
-
-
-def drop_vertices(hg, mask):
+    mask = bit(k)
     raw = [(e & ~mask, b) for e, b in hg.edges]
     return LabeledHypergraph(
         hg.d, hg.n, hg.vertices & ~mask, _normalize_edges(raw, hg.n)
     )
-
-
-def identify_vertices(hg, rep_of):
-    """Map points through rep_of (a dict point -> representative) in place.
-
-    Non-representative points leave the active vertex set; labels are kept.
-    """
-    raw = []
-    for e, b in hg.edges:
-        raw.append((mask_of(rep_of.get(p, p) for p in points_of(e)), b))
-    verts = mask_of(rep_of.get(p, p) for p in points_of(hg.vertices))
-    return LabeledHypergraph(hg.d, hg.n, verts, _normalize_edges(raw, hg.n))
 
 
 def reduce(hg):
@@ -196,13 +180,64 @@ def valuation(hg, subset):
     the hypergraph: min(|A|, n, |A \\ e| + bound over edges)."""
     mask = subset if isinstance(subset, int) else mask_of(subset)
     best = min(mask.bit_count(), hg.n)
-    for e, b in hg.edges:
+    for e, b in hg.edges:  # bounds ascend, so later edges cannot win
         if b >= best:
-            continue
+            break
         v = (mask & ~e).bit_count() + b
         if v < best:
             best = v
     return best
+
+
+_IDENTIFY = "identify"  # bound marker: add (mask, 1) and identify its points
+
+
+def _scan_rank4(hg, v):
+    """First conflicting edge pair of a reduced rank-4 hypergraph (bounds 2
+    and 3 only), as the (mask, bound) edges that split it, or None.
+
+    The four conditions, in pair order:
+      (i)   two bound-3 edges meeting in >= 3 points: the intersection must
+            lie inside a bound-2 edge;
+      (ii)  a bound-3 and a bound-2 edge meeting in >= 2 points: the bound-2
+            edge must be contained in the bound-3 edge;
+      (iii) two bound-2 edges meet in at most 1 point;
+      (iv)  two bound-2 edges meeting in 1 point: their union must lie
+            inside a bound-3 edge.
+    The branches depend on the search stratum v; the identify branch only
+    exists for v = 2.
+    """
+    edges = hg.edges
+    twos = [e for e, b in edges if b == 2]
+    threes = [e for e, b in edges if b == 3]
+    for a in range(len(edges)):
+        ea, ba = edges[a]
+        for b in range(a + 1, len(edges)):
+            eb, bb = edges[b]
+            inter = ea & eb
+            k = inter.bit_count()
+            if ba == 3 and bb == 3:
+                if k >= 3 and not any(inter & ~z == 0 for z in twos):
+                    branches = [(ea | eb, 3)]
+                    if v <= 3:
+                        branches.append((inter, 2))
+                    return branches
+            elif ba != bb:  # one bound-2, one bound-3 edge
+                e3, e2 = (ea, eb) if ba == 3 else (eb, ea)
+                if k >= 2 and e2 & ~e3:
+                    branches = [(e3 | e2, 3)]
+                    if v == 2:
+                        branches.append((inter, _IDENTIFY))
+                    return branches
+            else:  # both bound 2
+                if k >= 2:
+                    branches = [(ea | eb, 2)]
+                    if v == 2:
+                        branches.append((inter, _IDENTIFY))
+                    return branches
+                if k == 1 and not any((ea | eb) & ~z == 0 for z in threes):
+                    return [(ea | eb, 3)]
+    return None
 
 
 def check_matroid_conditions(hg, rank4=False):
@@ -211,41 +246,17 @@ def check_matroid_conditions(hg, rank4=False):
 
     General mode: bound1 + bound2 >= v(intersection) + v(union) for every
     pair of distinct edges.  Rank-4 mode is the sharper test for reduced
-    hypergraphs (bounds 2 and 3 only):
-      (i)   two bound-3 edges meeting in >= 3 points: the intersection must
-            lie inside a bound-2 edge;
-      (ii)  a bound-3 and a bound-2 edge meeting in >= 2 points: the bound-2
-            edge must be contained in the bound-3 edge;
-      (iii) two bound-2 edges meet in at most 1 point;
-      (iv)  two bound-2 edges meeting in 1 point: their union must lie
-            inside a bound-3 edge.
+    hypergraphs (bounds 2 and 3 only): no edge pair breaks one of the four
+    conditions of ``_scan_rank4``.
     """
     edges = hg.edges
-    if not rank4:
-        for i, (e1, b1) in enumerate(edges):
-            for e2, b2 in edges[i + 1 :]:
-                if valuation(hg, e1 & e2) + valuation(hg, e1 | e2) > b1 + b2:
-                    return False
-        return True
-    if any(b not in (2, 3) for _, b in edges):
-        raise ValueError("rank-4 conditions apply to reduced hypergraphs only")
-    twos = hg.by_bound(2)
-    threes = hg.by_bound(3)
-    for i, e1 in enumerate(threes):
-        for e2 in threes[i + 1 :]:
-            inter = e1 & e2
-            if inter.bit_count() >= 3 and not any(inter & ~z == 0 for z in twos):
-                return False
-    for e1 in threes:
-        for e2 in twos:
-            if (e1 & e2).bit_count() >= 2 and e2 & ~e1:
-                return False
-    for i, e1 in enumerate(twos):
-        for e2 in twos[i + 1 :]:
-            k = (e1 & e2).bit_count()
-            if k >= 2:
-                return False
-            if k == 1 and not any((e1 | e2) & ~z == 0 for z in threes):
+    if rank4:
+        if any(b not in (2, 3) for _, b in edges):
+            raise ValueError("rank-4 conditions apply to reduced hypergraphs only")
+        return _scan_rank4(hg, 4) is None
+    for i, (e1, b1) in enumerate(edges):
+        for e2, b2 in edges[i + 1 :]:
+            if valuation(hg, e1 & e2) + valuation(hg, e1 | e2) > b1 + b2:
                 return False
     return True
 

@@ -14,7 +14,6 @@ the stratum and, in the double-point stratum, identifies points.  One root
 driver runs the independent search roots, serially or over worker processes.
 """
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -32,9 +31,12 @@ from .core import (
 )
 from .errors import BudgetExceeded, NotRankFour, NotSimple
 from .hypergraph import (
+    _IDENTIFY,
     _matroid_from_hypergraph_unchecked,
+    _scan_rank4,
     delta_of_matroid,
     reduce as reduce_hypergraph,
+    valuation,
     with_edge,
 )
 from .weak_order import compare, maximal_elements
@@ -101,9 +103,8 @@ class DegenerationReport:
 #
 # A rule maps a hypergraph to None when no rank-bound conflict is left, or
 # else to the (mask, bound) edges whose addition splits the first conflict.
-
-
-_IDENTIFY = "identify"  # bound marker: add (mask, 1) and identify its points
+# The rank-4 rule, ``hypergraph._scan_rank4``, is also the rank-4 matroid
+# condition test and lives beside it.
 
 
 def _scan_general(hg):
@@ -114,20 +115,12 @@ def _scan_general(hg):
     bound may be infeasible, i.e. negative).
     """
     edges = hg.edges
-    n = hg.n
     vals = {}
 
     def val(mask):
         v = vals.get(mask)
         if v is None:
-            v = min(mask.bit_count(), n)
-            for e, b in edges:  # bounds ascend, so later edges cannot win
-                if b >= v:
-                    break
-                w = (mask & ~e).bit_count() + b
-                if w < v:
-                    v = w
-            vals[mask] = v
+            v = vals[mask] = valuation(hg, mask)
         return v
 
     for a in range(len(edges)):
@@ -155,42 +148,6 @@ def _scan_general(hg):
     return None
 
 
-def _scan_rank4(hg, v):
-    """First conflicting pair under the rank-4 case analysis of stratum v;
-    the identify branch only exists for v = 2."""
-    edges = hg.edges
-    twos = [e for e, b in edges if b == 2]
-    threes = [e for e, b in edges if b == 3]
-    for a in range(len(edges)):
-        ea, ba = edges[a]
-        for b in range(a + 1, len(edges)):
-            eb, bb = edges[b]
-            inter = ea & eb
-            k = inter.bit_count()
-            if ba == 3 and bb == 3:
-                if k >= 3 and not any(inter & ~z == 0 for z in twos):
-                    branches = [(ea | eb, 3)]
-                    if v <= 3:
-                        branches.append((inter, 2))
-                    return branches
-            elif ba != bb:  # one bound-2, one bound-3 edge
-                e3, e2 = (ea, eb) if ba == 3 else (eb, ea)
-                if k >= 2 and e2 & ~e3:
-                    branches = [(e3 | e2, 3)]
-                    if v == 2:
-                        branches.append((inter, _IDENTIFY))
-                    return branches
-            else:  # both bound 2
-                if k >= 2:
-                    branches = [(ea | eb, 2)]
-                    if v == 2:
-                        branches.append((inter, _IDENTIFY))
-                    return branches
-                if k == 1 and not any((ea | eb) & ~z == 0 for z in threes):
-                    return [(ea | eb, 3)]
-    return None
-
-
 # -- rank <= 2 leaves ---------------------------------------------------------
 
 
@@ -201,15 +158,7 @@ def _low_rank_signature(hg):
     or None when the bound exceeds 2.
     """
     verts = hg.vertices
-    total = verts.bit_count()
-    v_full = min(total, hg.n)
-    for e, b in hg.edges:
-        if b >= v_full:
-            break
-        w = (verts & ~e).bit_count() + b
-        if w < v_full:
-            v_full = w
-    if v_full > 2:
+    if valuation(hg, verts) > 2:
         return None
     loops = 0
     for e, b in hg.edges:
@@ -601,13 +550,3 @@ def min_above(m, method="auto", limits=None, threads=1):
     if method == "general":
         return min_above_general(m, limits, threads)
     raise ValueError("unknown method %r" % (method,))
-
-
-def default_thread_count():
-    env = os.environ.get("MATDEG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1

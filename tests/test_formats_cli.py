@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -170,6 +172,48 @@ def test_cli_usage_errors():
     assert code == 2  # ground sets differ -> input error
     code, _ = run_cli("min-above", "nonexistent-file")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("min-above", "catalog:fano"),
+        ("decompose", "catalog:qs"),
+        ("steiner-experiment", "--q", "2", "--kind", "projective"),
+    ],
+)
+def test_cli_rejects_nonpositive_thread_counts(verb, monkeypatch):
+    monkeypatch.delenv("MATDEG_THREADS", raising=False)
+    for count in ("-3", "0"):
+        code, out = run_cli(*verb, "--threads", count)
+        assert code == 2 and out == ""
+    monkeypatch.setenv("MATDEG_THREADS", "abc")
+    code, out = run_cli(*verb)
+    assert code == 2 and out == ""
+
+
+def test_cli_thread_flag_overrides_environment(monkeypatch):
+    monkeypatch.setenv("MATDEG_THREADS", "abc")
+    code, out = run_cli("min-above", "catalog:fano", "--threads", "1")
+    assert code == 0 and out.startswith("count 22\n")
+    monkeypatch.setenv("MATDEG_THREADS", "")
+    code, out = run_cli("min-above", "catalog:fano")
+    assert code == 0 and out.startswith("count 22\n")
+
+
+def test_cli_runs_as_module():
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MATDEG_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matdeg.cli", "min-above", "catalog:fano", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 22
 
 
 def test_cli_deterministic_output():

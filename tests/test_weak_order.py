@@ -1,6 +1,7 @@
 """Weak-order comparison against the dependency-inclusion oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,8 @@ def test_ground_set_mismatch(fano, qs):
 
 def test_published_incomparable_pair():
     # the line-collapse and the point-sum degenerations of the Fano plane
-    # fail exactly at the double-point containment test, in both directions
+    # are incomparable: in each direction some cyclic flat of the larger
+    # side has a larger rank in the smaller one
     a1 = md.relabel(
         md.QuotientMap(7, (1, 2, 3, 3, 3, 3, 3)).lift(
             md.matroid_from_circuits(3, None, [(1, 2, 3)])
@@ -66,6 +68,26 @@ def test_compare_matches_oracle_sampled(small_matroids):
     pairs = [(random.choice(ms), random.choice(ms)) for _ in range(4000)]
     for a, b in pairs:
         assert compare(a, b) == brute_leq(masks[a], masks[b])
+
+
+def test_compare_matches_oracle_all_ranks():
+    # every labeled matroid on [6], ranks 0-6: pairs of unequal rank and
+    # pairs with a rank >= 4 side, which the rank <= 3 families never reach
+    ms = list(md.all_matroids(6, 6))
+    high = [m for m in ms if m.n >= 4]
+    rng = random.Random(29)
+    pairs = [(rng.choice(ms), rng.choice(ms)) for _ in range(1500)]
+    pairs += [(rng.choice(high), rng.choice(ms)) for _ in range(750)]
+    pairs += [(rng.choice(ms), rng.choice(high)) for _ in range(750)]
+    # a degeneration of each high-rank matroid lies below it
+    pairs += [(md.designate_loop(m, 1 + i % 6), m) for i, m in enumerate(high[:300])]
+    outcomes = set()
+    for a, b in pairs:
+        expected = brute_force_leq(a, b)
+        assert compare(a, b) == expected, (a.circuits, b.circuits)
+        outcomes.add((expected, a.n == b.n, max(a.n, b.n) >= 4))
+    # (leq, equal rank, a rank >= 4 side): every combination occurs
+    assert outcomes == set(product((True, False), repeat=3))
 
 
 def test_transitivity_sampled(small_matroids):
