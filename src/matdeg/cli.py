@@ -46,8 +46,8 @@ def _load_matroid(source):
     try:
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return formats.matroid_from_obj(json.loads(text))
-        return formats.loads_matroid(text)
+            return formats.matroid_from_obj(json.loads(text), validate=True)
+        return formats.loads_matroid(text, validate=True)
     except (ValueError, KeyError, MatdegError) as exc:
         raise _CliError("cannot parse matroid %s: %s" % (source, exc))
 

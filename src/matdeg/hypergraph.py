@@ -14,6 +14,7 @@ from .core import (
     Matroid,
     QuotientMap,
     _find,
+    _greedy_rank,
     _normalize_circuit_masks,
     _union,
     check_circuit_axioms,
@@ -286,6 +287,4 @@ def _matroid_from_hypergraph_unchecked(hg):
         for combo in combinations(ground, hg.n + 1):
             raw.append(mask_of(combo))
     canon = _normalize_circuit_masks(raw)
-    from .core import _greedy_rank
-
     return Matroid(hg.d, _greedy_rank(hg.d, canon), canon)

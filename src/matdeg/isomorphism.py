@@ -1,18 +1,23 @@
 """Canonical labeling, isomorphism testing and automorphism groups.
 
-The canonical form is the lexicographically minimal dependency bitstring
-over relabelings: positions are filled one point at a time (classes from an
-invariant color refinement fix the block structure) and every completed
-subset contributes one bit, so a branch-and-bound search over color-
-compatible assignments finds the exact minimum.  Uniform families are
-label-invariant and short-circuit the search.
+One backtracking search serves all three.  The canonical form is the
+lexicographically minimal dependency bitstring over relabelings: positions
+are filled one point at a time (classes from an invariant color refinement
+fix the block structure) and every completed subset contributes one bit, so
+a branch-and-bound search over color-compatible assignments finds the exact
+minimum.  The search cuts only strictly greater prefixes, so it reaches
+every relabeling that ties with the minimum; those ties are the canonical
+relabeling composed with each automorphism, which is how the automorphism
+group is read off (McKay and Piperno, "Practical graph isomorphism, II",
+2014).  Uniform families are label-invariant and short-circuit the search.
 """
 
 import hashlib
-from itertools import combinations
-from math import factorial
+from itertools import chain, combinations
+from math import comb, factorial
+from operator import itemgetter
 
-from .bitsets import bit, mask_of, points_of
+from .bitsets import bit, points_of
 from .core import Matroid, dependent_bitmap, relabel, subspace_table
 
 
@@ -23,8 +28,6 @@ def _is_uniform_family(m):
     k = m.circuit_masks[0].bit_count()
     if any(c.bit_count() != k for c in m.circuit_masks):
         return False
-    from math import comb
-
     return len(m.circuit_masks) == comb(m.d, k)
 
 
@@ -91,48 +94,53 @@ def _color_blocks(m):
 
 
 def _min_relabeling(m):
-    """Permutation old->new achieving the minimal dependency bitstring."""
+    """Every ordering of the points (position k+1 -> source point) whose
+    relabeling attains the minimal dependency bitstring.
+
+    Position k+1 takes a point of block ``slots[k]`` and contributes one
+    chunk: the dependency bits of that point joined with each subset of
+    the earlier positions, subsets of size 0..max_size-1 in combinations
+    order.  A prefix is cut only when it is strictly greater than the best
+    one's, so every leaf that ties with the minimum is reached.  Children
+    are tried smallest chunk first, which finds a good bound early and
+    changes no answer, since every tie is reached in any order.
+    """
     d, n = m.d, m.n
     if _is_uniform_family(m):
-        return tuple(range(1, d + 1))
-    dep = dependent_bitmap(m)
-    blocks = _color_blocks(m)
-    slots = []  # slots[k] = block index feeding position k+1
-    for i, b in enumerate(blocks):
-        slots.extend([i] * len(b))
+        return [tuple(range(1, d + 1))]
+    dep = memoryview(dependent_bitmap(m))
+    slots = []  # slots[k] = bits of the block feeding position k+1
+    for block in _color_blocks(m):
+        slots.extend([[bit(p) for p in block]] * len(block))
     max_size = min(n + 1, d)
 
     best_chunks = None
-    best_perm = None
-    # state: inverse[k] = source point at position k+1
-    def extend(inverse, used, chunks):
-        nonlocal best_chunks, best_perm
-        k = len(inverse)
+    ties = []
+
+    # state: prefix[k] = bit of the source point at position k+1
+    def extend(prefix, used, chunks):
+        nonlocal best_chunks
+        k = len(prefix)
         if k == d:
             if best_chunks is None or chunks < best_chunks:
                 best_chunks = list(chunks)
-                perm = [0] * d
-                for pos, src in enumerate(inverse):
-                    perm[src - 1] = pos + 1
-                best_perm = tuple(perm)
+                ties.clear()
+            ties.append(tuple(b.bit_length() for b in prefix))
             return
-        for src in blocks[slots[k]]:
-            if src in used:
-                continue
-            chunk = 0
-            for s in range(1, min(max_size, k + 1) + 1):
-                for combo in combinations(range(k), s - 1):
-                    mask = bit(src)
-                    for pos in combo:
-                        mask |= bit(inverse[pos])
-                    chunk = (chunk << 1) | dep[mask]
+        # a candidate b lies outside every subset of the prefix, so
+        # sub | b == sub + b and one itemgetter call on the view dep[b:]
+        # reads its whole chunk
+        chunk_of = itemgetter(
+            *map(sum, chain.from_iterable(combinations(prefix, s) for s in range(max_size)))
+        )
+        for chunk, b in sorted((chunk_of(dep[b:]), b) for b in slots[k] if not used & b):
             chunks.append(chunk)
-            if best_chunks is None or chunks <= best_chunks[: len(chunks)]:
-                extend(inverse + [src], used | {src}, chunks)
+            if best_chunks is None or chunks <= best_chunks[: k + 1]:
+                extend(prefix + [b], used | b, chunks)
             chunks.pop()
 
-    extend([], frozenset(), [])
-    return best_perm
+    extend([], 0, [])
+    return ties
 
 
 class CanonicalForm:
@@ -168,7 +176,12 @@ def canonical_permutation(m):
 
 def _canonical(m):
     if m._canon_cache is None:
-        perm = _min_relabeling(m)
+        # every tie gives the same form; the least ordering keeps the
+        # permutation independent of the order children are tried in
+        perm = [0] * m.d
+        for pos, src in enumerate(min(_min_relabeling(m)), 1):
+            perm[src - 1] = pos
+        perm = tuple(perm)
         canon = relabel(m, perm)
         form = CanonicalForm((m.d, m.n, canon.circuits))
         m._canon_cache = (form, perm)
@@ -186,19 +199,14 @@ def are_isomorphic(m1, m2):
 
 
 class AutomorphismGroup:
-    """Permutations preserving dependence.
+    """Permutations preserving dependence: the order, and ``generators``
+    that regenerate the group by composition."""
 
-    ``elements`` is the full list when the order is small enough to store
-    (at most 10**6), else None; ``generators`` always suffice to regenerate
-    the group by composition.
-    """
+    __slots__ = ("order", "generators")
 
-    __slots__ = ("order", "generators", "elements")
-
-    def __init__(self, order, generators, elements=None):
+    def __init__(self, order, generators):
         self.order = order
         self.generators = generators
-        self.elements = elements
 
     def __repr__(self):
         return "AutomorphismGroup(order=%d, %d generators)" % (
@@ -207,75 +215,26 @@ class AutomorphismGroup:
         )
 
 
-_ELEMENT_CAP = 10**6
-
-
 def automorphisms(m):
-    """Automorphism group via backtracking over color-compatible maps.
+    """The automorphism group, read off the ties of the canonical search.
 
-    A partial map is extended only while circuits completed on either side
-    keep landing on dependent sets; the two directions together guarantee
-    dependence is preserved exactly.
+    The color classes are label-invariant, so two orderings tie exactly
+    when mapping the one onto the other, position by position, is an
+    automorphism; mapping every tie onto a fixed one lists the group.
+    Generators are a greedy subset of the sorted elements.
     """
     d = m.d
     if _is_uniform_family(m):
-        order = factorial(d)
         gens = []
         if d >= 2:
             gens.append(tuple([2, 1] + list(range(3, d + 1))))
         if d >= 3:
             gens.append(tuple(list(range(2, d + 1)) + [1]))
-        elements = None
-        if order <= 10**4:
-            from itertools import permutations
-
-            elements = tuple(permutations(range(1, d + 1)))
-        return AutomorphismGroup(order, tuple(gens), elements)
-
-    dep = dependent_bitmap(m)
-    colors = _refined_colors(m)
-    by_color = {}
-    for p in range(1, d + 1):
-        by_color.setdefault(colors[p], []).append(p)
-    source_order = sorted(range(1, d + 1), key=lambda p: (len(by_color[colors[p]]), p))
-    found = []
-
-    def consistent(sigma, inv, v, w, mapped_mask, image_mask):
-        # circuits through v fully mapped must land on dependent sets
-        for c in m._by_point[v]:
-            if c & ~mapped_mask == 0:
-                img = mask_of(sigma[p] for p in points_of(c))
-                if not dep[img]:
-                    return False
-        for c in m._by_point[w]:
-            if c & ~image_mask == 0:
-                pre = mask_of(inv[p] for p in points_of(c))
-                if not dep[pre]:
-                    return False
-        return True
-
-    def extend(idx, sigma, inv, mapped_mask, image_mask):
-        if idx == d:
-            found.append(tuple(sigma[p] for p in range(1, d + 1)))
-            return
-        v = source_order[idx]
-        for w in by_color[colors[v]]:
-            if w in inv:
-                continue
-            sigma[v] = w
-            inv[w] = v
-            if consistent(sigma, inv, v, w, mapped_mask | bit(v), image_mask | bit(w)):
-                extend(idx + 1, sigma, inv, mapped_mask | bit(v), image_mask | bit(w))
-            del sigma[v]
-            del inv[w]
-
-    extend(0, {}, {}, 0, 0)
-    found.sort()
-    elements = tuple(found)
-    generators = _generating_subset(elements, d)
-    return AutomorphismGroup(
-        len(elements), generators, elements if len(elements) <= _ELEMENT_CAP else None
-    )
+        return AutomorphismGroup(factorial(d), tuple(gens))
+    ties = _min_relabeling(m)
+    ref = ties[0]
+    elements = sorted(tuple(dst for _, dst in sorted(zip(t, ref))) for t in ties)
+    return AutomorphismGroup(len(elements), _generating_subset(elements, d))
 
 
 def _compose(g, h):

@@ -4,7 +4,7 @@ Everything here works by exhaustive enumeration over subsets (or over whole
 matroid families) and deliberately avoids the production code paths.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from matdeg.bitsets import mask_of, points_of
 from matdeg.core import dependent_bitmap
@@ -85,6 +85,48 @@ def brute_max_below(m, universe_with_masks):
     return sorted((nn for _, nn in kept), key=lambda t: t.sort_key())
 
 
+def brute_elimination_ok(circuits):
+    """Circuit elimination over every pair, by scanning the family."""
+    for i, c1 in enumerate(circuits):
+        for c2 in circuits[i + 1 :]:
+            inter = c1 & c2
+            if not inter:
+                continue
+            union = c1 | c2
+            rem = inter
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                target = union & ~low
+                if not any(c3 & ~target == 0 for c3 in circuits):
+                    return False
+    return True
+
+
+def _maps_onto(perm, dep_from, dep_to):
+    """True when perm (point p -> perm[p-1]) carries the dependent sets of
+    one bitmap exactly onto those of the other."""
+    image = [0] * len(dep_from)
+    for s in range(1, len(dep_from)):
+        low = s & -s
+        image[s] = image[s ^ low] | 1 << (perm[low.bit_length() - 1] - 1)
+    return all(dep_to[image[s]] == dep_from[s] for s in range(len(dep_from)))
+
+
+def brute_automorphisms(m):
+    """Every permutation of [d] preserving the dependent sets."""
+    dep = dependent_bitmap(m)
+    return {p for p in permutations(range(1, m.d + 1)) if _maps_onto(p, dep, dep)}
+
+
+def brute_isomorphic(a, b):
+    """Isomorphism by a search over all bijections of [d]."""
+    if a.d != b.d:
+        return False
+    dep_a, dep_b = dependent_bitmap(a), dependent_bitmap(b)
+    return any(_maps_onto(p, dep_a, dep_b) for p in permutations(range(1, a.d + 1)))
+
+
 def all_matroids_by_antichains(d):
     """Every labeled matroid on [d] by filtering all circuit antichains
     through the elimination axiom (practical for d <= 5)."""
@@ -94,24 +136,8 @@ def all_matroids_by_antichains(d):
 
     found = []
 
-    def elimination_ok(circuits):
-        for i, c1 in enumerate(circuits):
-            for c2 in circuits[i + 1 :]:
-                inter = c1 & c2
-                if not inter:
-                    continue
-                union = c1 | c2
-                rem = inter
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    target = union & ~low
-                    if not any(c3 & ~target == 0 for c3 in circuits):
-                        return False
-        return True
-
     def grow(start, chosen):
-        if elimination_ok(chosen):
+        if brute_elimination_ok(chosen):
             canon = tuple(sorted(chosen, key=lambda mm: (mm.bit_count(), points_of(mm))))
             found.append(Matroid(d, _greedy_rank(d, canon), canon))
         for i in range(start, len(subsets)):

@@ -27,8 +27,9 @@ from matdeg import (
     uniform_matroid,
 )
 from matdeg.bitsets import mask_of
+from matdeg.core import check_circuit_axioms
 
-from oracles import brute_closure, brute_cyclic_flats, brute_rank
+from oracles import brute_closure, brute_cyclic_flats, brute_elimination_ok, brute_rank
 
 
 def test_uniform_construction():
@@ -50,6 +51,26 @@ def test_fano_accepted(fano):
 def test_elimination_axiom_violation():
     with pytest.raises(AxiomViolation):
         matroid_from_circuits(4, 2, [(1, 2, 3), (1, 2, 4)], validate=True)
+
+
+def test_elimination_check_matches_scan():
+    # random circuit families, most of them no matroid: the one-lookup
+    # check must agree with a scan of the whole family for each elimination
+    rng = random.Random(505)
+    outcomes = set()
+    for _ in range(3000):
+        d = rng.randint(3, 6)
+        family = {rng.randrange(1, 1 << d) for _ in range(rng.randint(1, 7))}
+        m = matroid_from_circuits(d, None, family)
+        expected = brute_elimination_ok(m.circuit_masks)
+        try:
+            check_circuit_axioms(m)
+            ok = True
+        except AxiomViolation:
+            ok = False
+        assert ok == expected, m.circuits
+        outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 def test_rank_mismatch():

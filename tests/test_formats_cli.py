@@ -167,6 +167,23 @@ def test_cli_matroid_from_file(tmp_path, fano):
     assert code == 0 and out == "true\n"
 
 
+@pytest.mark.parametrize("circuits", [[[1, 2], [3, 4], [1, 3]], [[1, 2, 3], [1, 2, 4]]])
+def test_cli_rejects_non_matroid(tmp_path, monkeypatch, circuits):
+    # both families break circuit elimination; neither may get answers
+    text = "4 2\n" + "".join(" ".join(map(str, c)) + "\n" for c in circuits)
+    path = tmp_path / "family.txt"
+    path.write_text(text)
+    code, out = run_cli("min-above", str(path))
+    assert code == 2 and out == ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = run_cli("min-above", "-", "--json")
+    assert code == 2 and out == ""
+    jpath = tmp_path / "family.json"
+    jpath.write_text(json.dumps({"d": 4, "n": 2, "circuits": circuits}))
+    code, out = run_cli("automorphisms", str(jpath))
+    assert code == 2 and out == ""
+
+
 def test_cli_usage_errors():
     code, _ = run_cli("compare", "catalog:fano", "catalog:qs")
     assert code == 2  # ground sets differ -> input error
