@@ -6,9 +6,15 @@ through a greedy independence oracle (correct by the exchange axiom) with a
 per-instance cache; heavier derived data (cyclic flats, subspace tables) is
 computed lazily and cached as well, so values can be shared freely between
 threads once constructed.
+
+A matroid built by the degeneration search also carries a *presentation*,
+the (mask, bound) pairs that ``weak_order.compare`` reads; the constructors
+that keep one are listed there.  Every other matroid is presented by its
+cyclic flats.
 """
 
 from itertools import combinations
+from math import comb
 
 from .bitsets import (
     MAX_GROUND,
@@ -20,6 +26,11 @@ from .bitsets import (
     points_of,
 )
 from .errors import AxiomViolation, MatdegError, RankMismatch
+
+# Largest number of subsets of size <= rank that ``cyclic_flats_masks`` may
+# close.  Every catalog entry fits (PG(2,4) needs 1,562, AG(2,4) 697); a
+# 30-point matroid of rank 29 would need over 10^9.
+_CYCLIC_FLAT_SUBSETS_MAX = 2048
 
 
 def _normalize_circuit_masks(masks):
@@ -54,6 +65,7 @@ class Matroid:
         "_rank_cache",
         "_closure_cache",
         "_cyclic_flats",
+        "_presentation",
         "_delta_cache",
         "_canon_cache",
         "_key",
@@ -77,6 +89,7 @@ class Matroid:
         self._rank_cache = {}
         self._closure_cache = {}
         self._cyclic_flats = None
+        self._presentation = None
         self._delta_cache = {}
         self._canon_cache = None
         self._key = (d, circuit_masks)
@@ -91,7 +104,7 @@ class Matroid:
         return self._hash
 
     def __reduce__(self):
-        return (Matroid, (self.d, self.n, self.circuit_masks))
+        return (_presented, (self.d, self.n, self.circuit_masks, self._presentation))
 
     def __repr__(self):
         return "Matroid(d=%d, n=%d, %d circuits)" % (
@@ -172,9 +185,17 @@ class Matroid:
         """All cyclic flats as (mask, rank), canonically sorted.
 
         The rank-0 entry is the set of loops when nonempty; the empty set is
-        never reported.
+        never reported.  Every subset of size <= n is closed, so a matroid
+        with more than ``_CYCLIC_FLAT_SUBSETS_MAX`` of them is refused.
         """
         if self._cyclic_flats is None:
+            subsets = sum(comb(self.d, k) for k in range(self.n + 1))
+            if subsets > _CYCLIC_FLAT_SUBSETS_MAX:
+                raise _GroundSetTooLarge(
+                    "cyclic flats of a rank-%d matroid on %d points would close "
+                    "%d subsets; the limit is %d"
+                    % (self.n, self.d, subsets, _CYCLIC_FLAT_SUBSETS_MAX)
+                )
             flats = {}
             ground = points_of(full_mask(self.d))
             for size in range(0, self.n + 1):
@@ -194,6 +215,15 @@ class Matroid:
             self._cyclic_flats = tuple(out)
         return self._cyclic_flats
 
+    def _presentation_masks(self):
+        """(mask, bound) pairs that decide the weak order below this
+        matroid: N <= self iff N.n <= self.n and rank_N(mask) <= bound for
+        every pair.  The stored presentation when there is one, else the
+        cyclic flats with their ranks."""
+        if self._presentation is None:
+            return self.cyclic_flats_masks()
+        return self._presentation
+
     def flats_of_rank(self, r):
         """All flats of the given rank, as masks."""
         seen = set()
@@ -203,6 +233,13 @@ class Matroid:
             if self._rank_mask(m) == r:
                 seen.add(self._closure_mask(m))
         return sorted(seen, key=canon_key)
+
+
+def _presented(d, n, circuit_masks, presentation):
+    """A matroid with the given presentation (None for none)."""
+    m = Matroid(d, n, circuit_masks)
+    m._presentation = presentation
+    return m
 
 
 def _bits(mask):
@@ -332,7 +369,8 @@ def uniform_matroid(n, d):
     if n > d:
         raise ValueError("rank cannot exceed the ground-set size")
     circuits = tuple(masks_of_size(d, n + 1))
-    return Matroid(d, n, circuits)
+    # the maximal matroid of rank <= n below no pairs at all
+    return _presented(d, n, circuits, ())
 
 
 def restriction(m, subset):
@@ -385,7 +423,10 @@ def designate_loop(m, k):
     b = bit(k)
     circuits = [c for c in m.circuit_masks if c & b == 0] + [b]
     canon = _normalize_circuit_masks(circuits)
-    return Matroid(m.d, _greedy_rank(m.d, canon), canon)
+    pres = m._presentation
+    if pres is not None:
+        pres = ((b, 0),) + pres
+    return _presented(m.d, _greedy_rank(m.d, canon), canon, pres)
 
 
 def relabel(m, perm):
@@ -395,7 +436,10 @@ def relabel(m, perm):
     else:
         get = lambda p: perm[p - 1]
     circuits = [mask_of(get(p) for p in points_of(c)) for c in m.circuit_masks]
-    return Matroid(m.d, m.n, tuple(sorted(circuits, key=canon_key)))
+    pres = m._presentation
+    if pres is not None:
+        pres = tuple((mask_of(get(p) for p in points_of(e)), b) for e, b in pres)
+    return _presented(m.d, m.n, tuple(sorted(circuits, key=canon_key)), pres)
 
 
 # -- quotients (loops removed, parallel points identified) -------------------
@@ -479,6 +523,12 @@ class QuotientMap:
         Loops return as singleton circuits, each nontrivial fiber becomes a
         parallel class, and each circuit of ``m`` lifts to all transversals
         of the fibers of its points.
+
+        A presentation of ``m`` lifts to (loops, 0), (fiber, 1) for each
+        fiber of two or more points and (preimage(e), b) for each pair
+        (e, b).  That family decides the weak order below the lift, but it
+        is no rank formula: two 2-point fibers over an independent pair have
+        rank 2, while the minimum over the pairs gives 3.
         """
         if m.d != self.q:
             raise ValueError("matroid lives on the wrong ground set")
@@ -487,7 +537,8 @@ class QuotientMap:
             t = self.target[p - 1]
             if t:
                 fibers.setdefault(t, []).append(p)
-        circuits = [bit(p) for p in sorted(self.removed_loops)]
+        loops = sorted(self.removed_loops)
+        circuits = [bit(p) for p in loops]
         for pts in fibers.values():
             for a, b in combinations(pts, 2):
                 circuits.append(bit(a) | bit(b))
@@ -496,7 +547,18 @@ class QuotientMap:
             for choice in _product(pools):
                 circuits.append(mask_of(choice))
         canon = tuple(sorted(set(circuits), key=canon_key))
-        return Matroid(self.d_source, m.n, canon)
+        pres = m._presentation
+        if pres is not None:
+            fiber_masks = {t: mask_of(pts) for t, pts in fibers.items()}
+            lifted = [(mask_of(loops), 0)] if loops else []
+            lifted += [(f, 1) for f in fiber_masks.values() if f.bit_count() >= 2]
+            for e, b in pres:
+                pre = 0
+                for t in points_of(e):
+                    pre |= fiber_masks[t]
+                lifted.append((pre, b))
+            pres = tuple(lifted)
+        return _presented(self.d_source, m.n, canon, pres)
 
 
 def _product(pools):

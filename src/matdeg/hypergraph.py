@@ -11,11 +11,11 @@ from itertools import combinations
 
 from .bitsets import bit, canon_key, full_mask, mask_of, points_of
 from .core import (
-    Matroid,
     QuotientMap,
     _find,
     _greedy_rank,
     _normalize_circuit_masks,
+    _presented,
     _union,
     check_circuit_axioms,
 )
@@ -270,13 +270,16 @@ def matroid_from_hypergraph(hg, validate=False, check=True):
         raise ValueError("matroid construction requires a full vertex set")
     if check and not check_matroid_conditions(hg):
         raise ConditionsFailed("pairwise rank-bound conditions fail")
-    m = _matroid_from_hypergraph_unchecked(hg)
+    m = _matroid_from_hypergraph_unchecked(hg, stable=check)
     if validate:
         check_circuit_axioms(m)
     return m
 
 
-def _matroid_from_hypergraph_unchecked(hg):
+def _matroid_from_hypergraph_unchecked(hg, stable):
+    """The matroid of ``hg``'s edge-induced circuits.  When the caller knows
+    the conditions hold (``stable``), it is the maximal matroid below the
+    edges, and the edges are kept as its presentation."""
     raw = []
     for e, b in hg.edges:
         pts = points_of(e)
@@ -287,4 +290,4 @@ def _matroid_from_hypergraph_unchecked(hg):
         for combo in combinations(ground, hg.n + 1):
             raw.append(mask_of(combo))
     canon = _normalize_circuit_masks(raw)
-    return Matroid(hg.d, _greedy_rank(hg.d, canon), canon)
+    return _presented(hg.d, _greedy_rank(hg.d, canon), canon, hg.edges if stable else None)

@@ -304,7 +304,7 @@ def _expand(root, qmap, scan, limits, prune, stats):
                     break
                 branches = scan(hg)
                 if branches is None:
-                    m = _matroid_from_hypergraph_unchecked(hg)
+                    m = _matroid_from_hypergraph_unchecked(hg, stable=True)
                     if not qmap.is_identity():
                         m = qmap.lift(m)
                     if m._key not in found:

@@ -1,11 +1,25 @@
 """The weak order on matroids: N <= M iff every dependent set of M is
 dependent in N, i.e. rank_N(X) <= rank_M(X) for every subset X.
 
-``compare`` decides the order on the cyclic flats of M alone: the rank of
-any set X in M is the minimum of rank_M(F) + |X \\ F| over the cyclic flats
-F of M (Bonin and de Mier, "The lattice of cyclic flats of a matroid",
-2008), so N <= M exactly when no cyclic flat of M has a larger rank in N.
-``brute_force_leq`` is the independent oracle used by the tests.
+``compare`` reads a *presentation* of M: (mask, bound) pairs such that
+N <= M exactly when N.n <= M.n and rank_N(mask) <= bound for every pair.
+
+- The cyclic flats of M with their ranks are one.  The rank of any set X
+  in M is the minimum of rank_M(F) + |X \\ F| over the cyclic flats F
+  (Bonin and de Mier, "The lattice of cyclic flats of a matroid", 2008),
+  so no cyclic flat of larger rank in N means rank_N <= rank_M everywhere.
+- A stable leaf of the degeneration search, or the result of a checked
+  ``matroid_from_hypergraph``, is the maximal matroid of rank <= n below
+  its hypergraph, so the hypergraph's edges are another (the rank test
+  carries n), and they cost nothing to keep.  ``uniform_matroid`` has the
+  empty one, and ``relabel``, ``designate_loop`` (when its argument has
+  one) and ``QuotientMap.lift`` carry theirs over.  A lifted presentation
+  adds (loops, 0) and (fiber, 1) pairs.  It decides the order, but it is
+  no rank formula: never read a rank off it.
+
+Every other matroid (parsed, restricted, dualized, ...) is presented by its
+cyclic flats, computed on first use.  ``brute_force_leq`` is the
+independent oracle used by the tests.
 """
 
 from itertools import combinations
@@ -36,15 +50,17 @@ def brute_force_leq(m_prime, m):
 def compare(m_prime, m):
     """Decide m_prime <= m in the weak order.
 
-    True iff rank_m_prime(F) <= rank_m(F) for every cyclic flat F of m;
-    by the cyclic-flat rank formula rank_m(X) = min over F of
-    rank_m(F) + |X \\ F|, this bounds rank_m_prime by rank_m everywhere.
-    Flats of rank >= rank(m_prime) hold trivially and are skipped.
+    True iff rank(m_prime) <= rank(m) and rank_m_prime(e) <= b for every
+    pair (e, b) of m's presentation: its search hypergraph when it has one,
+    else its cyclic flats.  Pairs with b >= rank(m_prime) hold trivially
+    and are skipped.
     """
     if m_prime.d != m.d:
         raise GroundSetMismatch("ground sets differ")
     n = m_prime.n
-    return all(m_prime._rank_mask(f) <= r for f, r in m.cyclic_flats_masks() if r < n)
+    return n <= m.n and all(
+        m_prime._rank_mask(e) <= b for e, b in m._presentation_masks() if b < n
+    )
 
 
 def maximal_elements(matroids, stats=None):

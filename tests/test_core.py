@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -27,7 +28,7 @@ from matdeg import (
     uniform_matroid,
 )
 from matdeg.bitsets import mask_of
-from matdeg.core import check_circuit_axioms
+from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, check_circuit_axioms
 
 from oracles import brute_closure, brute_cyclic_flats, brute_elimination_ok, brute_rank
 
@@ -131,6 +132,24 @@ def test_cyclic_flats(fano):
     assert all(r == 2 for _, r in got[:7])
     # free matroid: no circuits, no cyclic flats
     assert cyclic_flats(uniform_matroid(4, 4)) == ()
+
+
+def test_cyclic_flats_subset_limit():
+    # every catalog entry fits; PG(2,4) is the widest, at 1,562 subsets
+    for name in md.catalog_names():
+        if "<" not in name:
+            m = md.catalog(name)
+            assert sum(comb(m.d, k) for k in range(m.n + 1)) <= _CYCLIC_FLAT_SUBSETS_MAX
+    assert len(md.catalog("pg4").cyclic_flats_masks()) == 22  # 21 lines, the plane
+    # three points and d - 3 loops: rank 3 on 23 points closes exactly
+    # 2,048 subsets, on 24 points 2,325
+    for d in (23, 24):
+        m = md.matroid_from_circuits(d, 3, [(p,) for p in range(4, d + 1)])
+        if d == 23:
+            assert m.cyclic_flats_masks() == ((m.loops_mask, 0),)
+        else:
+            with pytest.raises(md.MatdegError):
+                m.cyclic_flats_masks()
 
 
 def test_cyclic_flats_against_brute(small_matroids):

@@ -126,6 +126,26 @@ def test_cli_ground_set_limit_is_input_error(tmp_path):
         assert code == 2, argv
 
 
+def test_cli_refuses_cyclic_flats_beyond_limit(tmp_path):
+    # one circuit on 30 points: closing every subset of size <= rank would
+    # take about 2^30 closures, so both verbs refuse the input at once
+    (tmp_path / "smaller.txt").write_text("30 28\n1 2\n3 4\n")
+    (tmp_path / "larger.txt").write_text("30 29\n1 2\n")
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (("compare", "smaller.txt", "larger.txt"), ("min-above", "larger.txt")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matdeg.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=20,
+        )
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert "cyclic flats" in proc.stderr
+
+
 def test_cli_isomorphic():
     code, out = run_cli("isomorphic", "catalog:pg2", "catalog:fano")
     assert code == 0 and out == "true\n"

@@ -140,6 +140,18 @@ def test_matroid_from_hypergraph(fano):
         )
 
 
+def test_unchecked_edges_are_no_presentation(small_matroids):
+    # the pairs 1~3, 1~5, 2~3 are not closed under transitivity, so the
+    # edges do not present the edge-induced family: compare must read its
+    # cyclic flats, as for the same circuits parsed
+    hg = induce([((1, 3), 1), ((1, 5), 1), ((2, 3), 1)], 5, 3)
+    assert not check_matroid_conditions(hg)
+    loose = matroid_from_hypergraph(hg, check=False)
+    parsed = md.Matroid(5, loose.n, loose.circuit_masks)
+    for m in small_matroids[5]:
+        assert md.compare(m, loose) == md.compare(m, parsed)
+
+
 def test_leq_hyper_bounds_rank(small_matroids):
     # below a hypergraph, ranks never exceed the valuation
     random.seed(2)

@@ -1,5 +1,6 @@
 """Degeneration searches against the published families and brute force."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -300,6 +301,10 @@ def test_serial_and_pooled_search_agree(fano):
         pooled = search(m, threads=2)
         assert list(pooled.maximal) == list(serial.maximal)
         assert _counters(pooled) == _counters(serial)
+        # leaves come back from the workers with their presentations
+        assert [x._presentation for x in pooled.maximal] == [
+            x._presentation for x in serial.maximal
+        ]
 
 
 def test_pooled_budgets_match_serial(fano, vamos):
@@ -311,3 +316,37 @@ def test_pooled_budgets_match_serial(fano, vamos):
     for threads in (1, 2):
         with pytest.raises(md.BudgetExceeded):
             stratum_min(vamos, 2, md.SearchLimits(1), threads=threads)
+
+
+def test_compare_reads_presentation_exactly(monkeypatch, fano, fanodual, k33dual, vamos, qs):
+    # every comparison the searches make agrees with the cyclic-flat form
+    calls = {"all": 0, "presented": 0}
+    original = md.weak_order.compare
+
+    def checked(a, b):
+        got = original(a, b)
+        assert got == all(a._rank_mask(f) <= r for f, r in b.cyclic_flats_masks() if r < a.n)
+        calls["all"] += 1
+        calls["presented"] += b._presentation is not None
+        return got
+
+    monkeypatch.setattr(md.weak_order, "compare", checked)
+    monkeypatch.setattr(md.search, "compare", checked)
+    inputs = [fano, fanodual, k33dual, vamos, qs]
+    inputs += [md.catalog(name) for name in ("threepairs", "threelines", "pg2", "ag3")]
+    inputs += random.Random(61).sample(list(md.all_matroids(6, 6)), 300)
+    for m in inputs:
+        md.min_above(m)
+    # most of them read a search leaf's presentation
+    assert calls["presented"] > calls["all"] / 2 > 0
+
+
+def test_min_above_high_rank_vs_bruteforce():
+    # exact agreement with the enumeration oracle on every matroid of rank
+    # >= 4 on [6], on both paths the automatic choice takes
+    ms = list(md.all_matroids(6, 6))
+    universe = [(depmask(m), m) for m in ms]
+    high = [m for m in ms if m.n >= 4]
+    assert len(high) == 877
+    for m in high:
+        assert list(md.min_above(m).maximal) == brute_max_below(m, universe), m.circuits

@@ -1,5 +1,6 @@
 """Weak-order comparison against the dependency-inclusion oracle."""
 
+import pickle
 import random
 from itertools import product
 
@@ -121,3 +122,68 @@ def test_maximal_elements_is_antichain(small_matroids):
     # every input lies below some survivor
     for m in sample:
         assert any(compare(m, k) for k in out)
+
+
+def _leaves(m):
+    """The search leaves among the degenerations of m (its designated loops
+    have no presentation, since m has none)."""
+    return [x for x in md.min_above(m).maximal if x._presentation is not None]
+
+
+def _presented_pool(fano):
+    """Matroids on [6] and [7] that carry a presentation: search leaves,
+    their relabelings and designated loops, and lifts of search leaves and
+    of uniform matroids."""
+    rng = random.Random(53)
+    sources = [m for m in md.all_matroids(6, 6) if m.n >= 2]
+    pool = [md.uniform_matroid(n, d) for d in (6, 7) for n in range(d + 1)]
+    for m in rng.sample(sources, 12) + [fano]:
+        pool += _leaves(m)
+    for m in list(pool):
+        pool.append(md.relabel(m, rng.sample(range(1, m.d + 1), m.d)))
+        pool.append(md.designate_loop(m, rng.randint(1, m.d)))
+    for target in ((1, 1, 2, 2, 3, 0), (1, 2, 1, 3, 0, 4), (1, 1, 1, 2, 3, 4)):
+        qmap = md.QuotientMap(6, target)
+        small = [md.uniform_matroid(n, qmap.q) for n in range(qmap.q + 1)]
+        for m in rng.sample([m for m in md.all_matroids(qmap.q, 4) if m.n >= 2], 4):
+            small += _leaves(m)
+        pool += [qmap.lift(x) for x in small]
+    return pool, sources
+
+
+def test_constructed_presentations_match_oracle(fano):
+    pool, sources = _presented_pool(fano)
+    assert all(m._presentation is not None for m in pool)
+    rng = random.Random(59)
+    by_d = {d: [m for m in pool if m.d == d] for d in (6, 7)}
+    pairs = []
+    for ms in by_d.values():
+        pairs += [(rng.choice(ms), rng.choice(ms)) for _ in range(1500)]
+    # presentations against matroids without one, either way round
+    pairs += [(rng.choice(sources), rng.choice(by_d[6])) for _ in range(1000)]
+    pairs += [(rng.choice(by_d[6]), rng.choice(sources)) for _ in range(500)]
+    outcomes = set()
+    for a, b in pairs:
+        expected = brute_force_leq(a, b)
+        assert compare(a, b) == expected, (a.circuits, b.circuits)
+        outcomes.add((expected, a.n > b.n))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_compare_is_false_above_the_rank(fano):
+    # N <= M forces rank(N) <= rank(M); a leaf's edges do not bound its
+    # rank, so compare has to test it
+    leaves = _leaves(fano)
+    assert {m.n for m in leaves} == {2, 3}
+    for m in leaves:
+        for n in range(m.n + 1, 8):
+            assert not compare(md.uniform_matroid(n, 7), m)
+        for n in range(m.n):
+            assert not compare(m, md.uniform_matroid(n, 7))
+
+
+def test_pickle_keeps_presentation(fano):
+    for m in md.min_above(fano).maximal + (fano,):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back._presentation == m._presentation
+    assert fano._presentation is None
