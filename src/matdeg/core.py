@@ -451,7 +451,9 @@ class QuotientMap:
     ``target[p-1]`` is the new label of source point p, or 0 when p was
     removed as a loop.  The map is enough to lift matroids on the quotient
     ground set back: removed points come back as loops and every nontrivial
-    fiber becomes a parallel class.
+    fiber becomes a parallel class.  ``collapsing`` is the one constructor
+    from loops and parallel pairs; ``simplify``, ``hypergraph.reduce``, the
+    rank <= 2 search leaves and the enumeration all go through it.
     """
 
     __slots__ = ("d_source", "target", "_hash")
@@ -464,6 +466,31 @@ class QuotientMap:
     @classmethod
     def identity(cls, d):
         return cls(d, tuple(range(1, d + 1)))
+
+    @classmethod
+    def collapsing(cls, d, loops, joined):
+        """Remove the points of the mask ``loops``, join the other points of
+        each mask in ``joined`` into one class (union-find) and number the
+        classes in the order of their least points."""
+        parent = list(range(d + 1))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for mask in joined:
+            pts = points_of(mask & ~loops)
+            for p in pts[1:]:
+                parent[find(p)] = find(pts[0])
+        label = {}
+        target = []
+        for p in range(1, d + 1):
+            if bit(p) & loops:
+                target.append(0)
+            else:
+                target.append(label.setdefault(find(p), len(label) + 1))
+        return cls(d, target)
 
     @property
     def q(self):
@@ -532,11 +559,7 @@ class QuotientMap:
         """
         if m.d != self.q:
             raise ValueError("matroid lives on the wrong ground set")
-        fibers = {}
-        for p in range(1, self.d_source + 1):
-            t = self.target[p - 1]
-            if t:
-                fibers.setdefault(t, []).append(p)
+        fibers = {self.target[pts[0] - 1]: pts for pts in self.classes}
         loops = sorted(self.removed_loops)
         circuits = [bit(p) for p in loops]
         for pts in fibers.values():
@@ -571,58 +594,21 @@ def _product(pools):
 
 
 def simplify(m):
-    """Remove loops and collapse double-point classes to their minima.
+    """Remove loops and collapse parallel classes to their minima.
 
-    Returns (simple matroid on 1..q, QuotientMap).  Lifting through the map
-    restores the original matroid exactly.
+    Returns (simple matroid on 1..q, QuotientMap): the map joins the
+    2-circuits, and the circuits over the class minima pass through it.
+    Lifting through the map restores the original matroid exactly.
     """
-    loops = m.loops_mask
-    parent = {}
-    for c in m.circuit_masks:
-        if c.bit_count() == 2:
-            _union(parent, *points_of(c))
-    reps = []
-    rep_of = {}
-    for p in range(1, m.d + 1):
-        if bit(p) & loops:
-            continue
-        r = _find(parent, p)
-        if r not in rep_of:
-            rep_of[r] = None
-            reps.append(r)
-    reps.sort()
-    new_label = {r: i + 1 for i, r in enumerate(reps)}
-    target = []
-    for p in range(1, m.d + 1):
-        if bit(p) & loops:
-            target.append(0)
-        else:
-            target.append(new_label[_find(parent, p)])
-    qmap = QuotientMap(m.d, target)
-    rep_mask = mask_of(reps)
-    circuits = []
-    for c in m.circuit_masks:
-        if c & ~rep_mask == 0 and c.bit_count() > 2:
-            circuits.append(mask_of(new_label[p] for p in points_of(c)))
-    simple = Matroid(len(reps), m.n, tuple(sorted(set(circuits), key=canon_key)))
-    return simple, qmap
-
-
-def _find(parent, x):
-    """Union-find root of x; ``parent`` maps non-roots to their parents."""
-    root = x
-    while parent.get(root, root) != root:
-        root = parent[root]
-    while parent.get(x, x) != x:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _union(parent, a, b):
-    """Join the classes of a and b under the smaller of their roots."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[max(ra, rb)] = min(ra, rb)
+    pairs = [c for c in m.circuit_masks if c.bit_count() == 2]
+    qmap = QuotientMap.collapsing(m.d, m.loops_mask, pairs)
+    minima = mask_of(pts[0] for pts in qmap.classes)
+    circuits = {
+        qmap.apply_mask(c)
+        for c in m.circuit_masks
+        if c & ~minima == 0 and c.bit_count() > 2
+    }
+    return Matroid(qmap.q, m.n, tuple(sorted(circuits, key=canon_key))), qmap
 
 
 # -- subspaces, degrees and the structural predicates ------------------------

@@ -107,11 +107,6 @@ def _matroids_of_rank(d, rank):
                     if q < 3:
                         continue
                     simples = _simple_rank3(q)
-                classes = sorted(part, key=min)
-                target = [0] * d
-                for i, cls in enumerate(classes):
-                    for p in cls:
-                        target[p - 1] = i + 1
-                qmap = QuotientMap(d, target)
+                qmap = QuotientMap.collapsing(d, loop_mask, map(mask_of, part))
                 for simple in simples:
                     yield qmap.lift(simple)

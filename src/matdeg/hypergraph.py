@@ -4,7 +4,8 @@ An edge (e, i) asserts "rank(e) <= i" for every matroid lying below the
 hypergraph.  Edges live on an ambient ground set [d]; operations that drop
 vertices keep the original labels and shrink the active vertex mask, while
 ``reduce`` (which identifies points connected by bound-1 edges) relabels to
-a fresh contiguous ground set and returns the quotient map.
+a fresh contiguous ground set and returns the quotient map.  The search and
+the matroid construction take full vertex sets only.
 """
 
 from itertools import combinations
@@ -12,11 +13,9 @@ from itertools import combinations
 from .bitsets import bit, canon_key, full_mask, mask_of, points_of
 from .core import (
     QuotientMap,
-    _find,
     _greedy_rank,
     _normalize_circuit_masks,
     _presented,
-    _union,
     check_circuit_axioms,
 )
 from .errors import ConditionsFailed
@@ -151,28 +150,17 @@ def remove_vertex(hg, k):
 def reduce(hg):
     """Identify points sharing a bound-1 edge; relabel to 1..q.
 
-    Requires no bound-0 edges and a full vertex set.  Returns the reduced
-    hypergraph (no bound-0/1 edges remain) and the quotient map.
+    Requires no bound-0 edges and a full vertex set.  The quotient map joins
+    the bound-1 edges, and the edges of bound >= 2 pass through it.  Returns
+    the reduced hypergraph (no bound-0/1 edges remain) and the map.
     """
     if hg.by_bound(0):
         raise ValueError("reduction requires a hypergraph without bound-0 edges")
     if hg.vertices != full_mask(hg.d):
         raise ValueError("reduction requires a full vertex set")
-    parent = {}
-    for e in hg.by_bound(1):
-        pts = points_of(e)
-        for p in pts[1:]:
-            _union(parent, pts[0], p)
-    reps = sorted({_find(parent, p) for p in range(1, hg.d + 1)})
-    new_label = {r: i + 1 for i, r in enumerate(reps)}
-    target = tuple(new_label[_find(parent, p)] for p in range(1, hg.d + 1))
-    qmap = QuotientMap(hg.d, target)
-    raw = []
-    for e, b in hg.edges:
-        if b >= 2:
-            raw.append((mask_of(new_label[_find(parent, p)] for p in points_of(e)), b))
-    q = len(reps)
-    red = LabeledHypergraph(q, hg.n, full_mask(q), _normalize_edges(raw, hg.n))
+    qmap = QuotientMap.collapsing(hg.d, 0, hg.by_bound(1))
+    raw = [(qmap.apply_mask(e), b) for e, b in hg.edges if b >= 2]
+    red = LabeledHypergraph(qmap.q, hg.n, full_mask(qmap.q), _normalize_edges(raw, hg.n))
     return red, qmap
 
 

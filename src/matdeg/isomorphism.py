@@ -18,7 +18,19 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .bitsets import bit, points_of
-from .core import Matroid, dependent_bitmap, relabel, subspace_table
+from .core import (
+    Matroid,
+    _GroundSetTooLarge,
+    dependent_bitmap,
+    relabel,
+    subspace_table,
+)
+
+# Largest number of tying orderings ``_min_relabeling`` may store, about the
+# automorphism group's order.  The catalog's largest groups fit (AG(2,4)
+# 5,760, PG(2,3) 5,616, the Steiner system S(3,4,8) 1,344); U(2,9) plus a
+# loop has 9! = 362,880.
+_TIES_MAX = 65536
 
 
 def _is_uniform_family(m):
@@ -103,7 +115,8 @@ def _min_relabeling(m):
     order.  A prefix is cut only when it is strictly greater than the best
     one's, so every leaf that ties with the minimum is reached.  Children
     are tried smallest chunk first, which finds a good bound early and
-    changes no answer, since every tie is reached in any order.
+    changes no answer, since every tie is reached in any order.  More
+    than ``_TIES_MAX`` ties are refused with ``_GroundSetTooLarge``.
     """
     d, n = m.d, m.n
     if _is_uniform_family(m):
@@ -126,6 +139,11 @@ def _min_relabeling(m):
                 best_chunks = list(chunks)
                 ties.clear()
             ties.append(tuple(b.bit_length() for b in prefix))
+            if len(ties) > _TIES_MAX:
+                raise _GroundSetTooLarge(
+                    "the canonical search found more than %d orderings that "
+                    "tie with the minimum" % _TIES_MAX
+                )
             return
         # a candidate b lies outside every subset of the prefix, so
         # sub | b == sub + b and one itemgetter call on the view dep[b:]

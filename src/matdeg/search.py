@@ -2,9 +2,11 @@
 
 One depth-first engine expands a stack of labeled hypergraphs until no
 rank-bound conflict remains; each stable hypergraph yields the unique maximal
-matroid below it, and a hypergraph bounded at rank <= 2 yields a closed-form
-matroid.  Branching is justified by submodularity: when two edges overvalue
-their union and intersection, any matroid below the hypergraph satisfies the
+matroid below it.  A hypergraph bounded at rank <= 2 is a leaf given by a
+quotient map (its bound-0 edges removed as loops, its bound-1 edges joined):
+its matroid is a uniform matroid on the classes lifted through the map.
+Branching is justified by submodularity: when two edges overvalue their
+union and intersection, any matroid below the hypergraph satisfies the
 tightened bound on at least one of the two.
 
 Two branching rules feed the engine.  The general rule starts one search per
@@ -19,12 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
-from .bitsets import masks_of_size, points_of
+from .bitsets import full_mask, masks_of_size, points_of
 from .core import (
     Matroid,
     QuotientMap,
-    _find,
-    _union,
     designate_loop,
     independent_masks,
     uniform_matroid,
@@ -151,73 +151,48 @@ def _scan_general(hg):
 # -- rank <= 2 leaves ---------------------------------------------------------
 
 
-def _low_rank_signature(hg):
-    """When the whole vertex set is bounded at rank <= 2, the unique maximal
-    matroid below the hypergraph is determined by its loop set and parallel
-    classes alone.  Returns that cheap signature (loops mask, class masks)
-    or None when the bound exceeds 2.
+def _low_rank_leaf(hg):
+    """When the whole ground set is bounded at rank <= 2, the unique maximal
+    matroid below the hypergraph is a uniform matroid of rank min(2, q) on
+    q classes, lifted through the quotient map that removes the bound-0
+    edges as loops and joins the bound-1 edges.  Returns that map, or None
+    when the bound exceeds 2.
     """
-    verts = hg.vertices
-    if valuation(hg, verts) > 2:
+    if valuation(hg, full_mask(hg.d)) > 2:
         return None
     loops = 0
-    for e, b in hg.edges:
-        if b == 0:
-            loops |= e
-    parent = {}
-    for e, b in hg.edges:
-        if b == 1:
-            epts = points_of(e & ~loops)
-            for p in epts[1:]:
-                _union(parent, epts[0], p)
-    fibers = {}
-    for p in points_of(verts & ~loops):
-        r = _find(parent, p)
-        fibers[r] = fibers.get(r, 0) | 1 << (p - 1)
-    classes = tuple(fibers[r] for r in sorted(fibers))
-    return (loops, classes)
+    for e in hg.by_bound(0):
+        loops |= e
+    return QuotientMap.collapsing(hg.d, loops, hg.by_bound(1))
 
 
-def _sig_leq(sig1, sig2):
-    """Does the closed-form matroid of sig1 lie below that of sig2?  True
-    iff every dependency of sig2 (loops, intra-class pairs) holds in sig1."""
-    loops1, classes1 = sig1
-    loops2, classes2 = sig2
-    if loops2 & ~loops1:
-        return False
-    for c2 in classes2:
-        rest = c2 & ~loops1
-        if rest.bit_count() <= 1:
-            continue
-        if not any(rest & ~c1 == 0 for c1 in classes1):
+def _sig_leq(a, b):
+    """Does the leaf of quotient map a lie below that of b?  True iff every
+    loop of b is a loop of a and every class of b, less the loops of a,
+    lies inside one class of a."""
+    a_of_b = {}
+    for ta, tb in zip(a.target, b.target):
+        if ta and (not tb or a_of_b.setdefault(tb, ta) != ta):
             return False
     return True
 
 
-def _sig_antichain(sigs):
-    """Maximal elements among low-rank signatures (cheap mask tests)."""
-    order = sorted(sigs, key=lambda s: (s[0].bit_count(), len(s[1])))
+def _sig_antichain(leaves):
+    """Maximal elements among rank <= 2 leaf maps (cheap label tests)."""
+    order = sorted(leaves, key=lambda leaf: (leaf.target.count(0), leaf.q))
     kept = []
-    for sig in order:
-        if any(_sig_leq(sig, k) for k in kept):
+    for leaf in order:
+        if any(_sig_leq(leaf, k) for k in kept):
             continue
-        kept = [k for k in kept if not _sig_leq(k, sig)]
-        kept.append(sig)
+        kept = [k for k in kept if not _sig_leq(k, leaf)]
+        kept.append(leaf)
     return kept
 
 
-def _low_rank_matroid(qmap, sig):
-    """The maximal matroid of a rank <= 2 leaf on the quotient ground set of
-    ``qmap``, lifted to the source: its loops, its parallel classes and a
-    uniform matroid of rank min(2, #classes) over the classes."""
-    loops, classes = sig
-    target = [0] * qmap.q
-    for label, cls in enumerate(classes, start=1):
-        for p in points_of(cls):
-            target[p - 1] = label
-    q = len(classes)
-    collapse = QuotientMap(len(target), target)
-    return qmap.compose(collapse).lift(uniform_matroid(min(2, q), q))
+def _low_rank_matroid(qmap, leaf):
+    """The matroid of a rank <= 2 leaf on the quotient ground set of
+    ``qmap``, lifted to the source."""
+    return qmap.compose(leaf).lift(uniform_matroid(min(2, leaf.q), leaf.q))
 
 
 class _RootPrune:
@@ -277,9 +252,10 @@ def _expand(root, qmap, scan, limits, prune, stats):
 
     Returns (found, low): the stable-leaf matroids lifted to the source,
     keyed by their identity, and per quotient map a running antichain of
-    rank <= 2 leaf signatures (materialized by the caller, which may first
-    reduce them across roots).  A single live branch is applied in place.
-    ``prune`` drops split branches whose matroids another root covers.
+    rank <= 2 leaves, each a quotient map of its own (materialized by the
+    caller, which may first reduce them across roots).  A single live
+    branch is applied in place.  ``prune`` drops split branches whose
+    matroids another root covers.
     Raises BudgetExceeded when the node budget in ``limits`` runs out.
     """
     max_nodes = limits.max_nodes if limits is not None else None
@@ -295,12 +271,12 @@ def _expand(root, qmap, scan, limits, prune, stats):
             if max_nodes is not None and nodes > max_nodes:
                 raise BudgetExceeded("node budget exhausted")
             while True:
-                sig = _low_rank_signature(hg)
-                if sig is not None:
+                leaf = _low_rank_leaf(hg)
+                if leaf is not None:
                     kept = low.setdefault(qmap, [])
-                    if not any(_sig_leq(sig, k) for k in kept):
-                        kept[:] = [k for k in kept if not _sig_leq(k, sig)]
-                        kept.append(sig)
+                    if not any(_sig_leq(leaf, k) for k in kept):
+                        kept[:] = [k for k in kept if not _sig_leq(k, leaf)]
+                        kept.append(leaf)
                     break
                 branches = scan(hg)
                 if branches is None:
@@ -338,10 +314,12 @@ def _expand(root, qmap, scan, limits, prune, stats):
 
 def _maximal_below(root, qmap, scan, limits, prune, stats):
     """Maximal matroids of one root expansion, low-rank leaves included."""
+    if root.vertices != full_mask(root.d):
+        raise ValueError("the search requires a full vertex set")
     found, low = _expand(root, qmap, scan, limits, prune, stats)
-    for leaf_map, sigs in low.items():
-        for sig in sigs:
-            m = _low_rank_matroid(leaf_map, sig)
+    for leaf_map, leaves in low.items():
+        for leaf in leaves:
+            m = _low_rank_matroid(leaf_map, leaf)
             if m._key not in found:
                 found[m._key] = m
                 stats.emitted += 1
@@ -400,8 +378,8 @@ def min_above_general(m, limits=None, threads=1):
 
     Search roots are independent and run through the root driver, serially
     or over ``threads`` worker processes with identical output.  The
-    closed-form rank <= 2 leaves are pooled across roots and reduced by a
-    cheap signature antichain before the final comparison stage.
+    rank <= 2 leaves are pooled across roots and reduced to an antichain of
+    their quotient maps before the final comparison stage.
     """
     stats = SearchStats()
     t0 = time.monotonic()
@@ -416,7 +394,7 @@ def min_above_general(m, limits=None, threads=1):
         (_expand, (root, qmap, _scan_general, limits, prune))
         for root, prune in _general_roots(m)
     ]
-    sigs = set()
+    leaves = set()
     complete = True
     for out in _run_roots(jobs, threads, stats):
         if out is None:
@@ -425,9 +403,9 @@ def min_above_general(m, limits=None, threads=1):
         found, low = out
         candidates.update(found)
         for kept in low.values():
-            sigs.update(kept)
-    for sig in _sig_antichain(sigs):
-        mm = _low_rank_matroid(qmap, sig)
+            leaves.update(kept)
+    for leaf in _sig_antichain(leaves):
+        mm = _low_rank_matroid(qmap, leaf)
         candidates.setdefault(mm._key, mm)
     maximal = maximal_elements(candidates.values(), stats)
     stats.wall_time = time.monotonic() - t0

@@ -4,6 +4,7 @@ Everything here works by exhaustive enumeration over subsets (or over whole
 matroid families) and deliberately avoids the production code paths.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from matdeg.bitsets import mask_of, points_of
@@ -69,20 +70,47 @@ def brute_leq(dm_small, dm_large):
     return dm_small & dm_large == dm_large
 
 
+@lru_cache(maxsize=None)
+def _packed_sets(d, n):
+    """Packed bitmaps over the subsets of [d]: the n-sets, and for each
+    point the sets without it."""
+    sets = range(1 << d)
+    n_sets = sum(1 << s for s in sets if s.bit_count() == n)
+    return n_sets, tuple(sum(1 << s for s in sets if not s >> i & 1) for i in range(d))
+
+
+def dual_depmask(dm, d, n):
+    """Depmask of the dual of a rank-n matroid on [d], from its depmask.
+
+    X is dependent in the dual iff [d] \\ X contains no basis.  The sets
+    that contain a basis are closed upward one point at a time, as shifts
+    of the packed bitmap, and X -> [d] \\ X reverses the packed bitmap.
+    """
+    n_sets, lacking = _packed_sets(d, n)
+    spanning = n_sets & ~dm
+    for i, without in enumerate(lacking):
+        spanning |= (spanning & without) << (1 << i)
+    size = 1 << d
+    return int(format(((1 << size) - 1) ^ spanning, "0%db" % size)[::-1], 2)
+
+
 def brute_max_below(m, universe_with_masks):
     """Maximal elements of {N < m} inside an enumerated universe.
 
     ``universe_with_masks`` is a list of (depmask, matroid) pairs covering
-    every matroid on the same ground set with rank <= rank(m).
+    every matroid on the same ground set with rank <= rank(m).  A matroid
+    may also be given as a function of no arguments that builds it, called
+    only when it is kept.
     """
     dm = depmask(m)
     below = [(x, nn) for x, nn in universe_with_masks if x != dm and x & dm == dm]
-    below.sort(key=lambda t: bin(t[0]).count("1"))
+    below.sort(key=lambda t: t[0].bit_count())
     kept = []
     for x, nn in below:
         if not any(kx != x and x & kx == kx for kx, _ in kept):
             kept.append((x, nn))
-    return sorted((nn for _, nn in kept), key=lambda t: t.sort_key())
+    out = [nn() if callable(nn) else nn for _, nn in kept]
+    return sorted(out, key=lambda t: t.sort_key())
 
 
 def brute_elimination_ok(circuits):

@@ -257,6 +257,27 @@ def test_simplify_all_parallel():
     assert qmap.classes == ((1, 2, 3),)
 
 
+def test_simplify_against_brute_force_classes():
+    # every matroid on [6]: the quotient restores the input, the quotient
+    # matroid is simple, and the loops and classes are the brute-force ones
+    count = 0
+    for m in md.all_matroids(6, 6):
+        simple, qmap = simplify(m)
+        assert qmap.lift(simple) == m, m.circuits
+        assert simple.is_simple()
+        loops = {p for p in range(1, 7) if brute_rank(m, (p,)) == 0}
+        rest = [p for p in range(1, 7) if p not in loops]
+        classes = []
+        for p in rest:
+            if not any(p in c for c in classes):
+                parallel = [q for q in rest if q > p and brute_rank(m, (p, q)) == 1]
+                classes.append(tuple([p] + parallel))
+        assert qmap.removed_loops == loops, m.circuits
+        assert qmap.classes == tuple(classes), m.circuits
+        count += 1
+    assert count == 3807
+
+
 def test_subspace_table(qs):
     table = subspace_table(qs)
     assert len(table.subspaces) == 4

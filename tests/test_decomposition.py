@@ -11,6 +11,7 @@ from matdeg import (
 )
 from matdeg.catalog import paving_from_hyperplanes
 from matdeg.decomposition import load_hints
+from matdeg.weak_order import brute_force_leq
 
 
 def test_decompose_qs(qs):
@@ -104,6 +105,17 @@ def test_redundancy_prune_keeps_annotates(qs):
     ann = {c.matroid: c.possible_redundancy for c in kept}
     assert ann[u26]  # dominated by qs, possibly redundant
     assert not ann[qs]
+
+
+def test_fanodual_annotations_against_bruteforce(fanodual):
+    # each component lists the id of every other component above it
+    comps = decompose(fanodual, hints=paper_hints()).components
+    for c in comps:
+        above = [
+            o.id for o in comps if o.matroid != c.matroid and brute_force_leq(c.matroid, o.matroid)
+        ]
+        assert sorted(c.possible_redundancy) == sorted(above), c.id
+    assert sum(bool(c.possible_redundancy) for c in comps) > len(comps) / 2
 
 
 def test_redundancy_prune_antichain_unchanged(fano):

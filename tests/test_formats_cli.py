@@ -156,6 +156,13 @@ def test_cli_automorphisms():
     assert code == 0 and json.loads(out)["order"] == 168
 
 
+def test_cli_automorphisms_refuses_too_many_ties(tmp_path):
+    path = tmp_path / "u29_loop.txt"
+    path.write_text(formats.dumps_matroid(md.designate_loop(md.uniform_matroid(2, 10), 10)))
+    code, _ = run_cli("automorphisms", str(path))
+    assert code == 2
+
+
 def test_cli_reduce(tmp_path):
     hg = {"d": 4, "n": 3, "edges": [{"set": [1, 2], "type": 1}, {"set": [1, 3, 4], "type": 2}]}
     path = tmp_path / "hg.json"

@@ -10,10 +10,13 @@ from matdeg import (
     are_isomorphic,
     automorphisms,
     canonical_form,
+    designate_loop,
     group_by_symmetry,
     relabel,
     uniform_matroid,
 )
+from matdeg.core import _GroundSetTooLarge
+
 from oracles import brute_automorphisms, brute_isomorphic
 
 
@@ -185,3 +188,10 @@ def test_are_isomorphic_matches_bijection_search(six_point_sample):
             assert (canonical_form(a) == canonical_form(b)) == expected
             outcomes.append(expected)
     assert outcomes.count(False) >= 20 and outcomes.count(True) >= 40
+
+
+def test_refuses_more_ties_than_the_limit():
+    # U(2,9) plus a loop has 9! automorphisms, more than the search stores
+    m = designate_loop(uniform_matroid(2, 10), 10)
+    with pytest.raises(_GroundSetTooLarge):
+        automorphisms(m)

@@ -1,6 +1,7 @@
 """Degeneration searches against the published families and brute force."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -18,16 +19,21 @@ from matdeg import (
     stratum_min,
     uniform_matroid,
 )
+from matdeg.bitsets import mask_of
 from matdeg.catalog import (
     FANO_LINES,
     FANO_DUAL_PLANES,
     STEINER348_BLOCKS,
     k33dual_degeneration_reps,
 )
+from matdeg.enumeration import set_partitions
 from matdeg.experiments import block_collapse, point_sum
+from matdeg.hypergraph import remove_vertex
 from matdeg.isomorphism import automorphisms, orbit_of
+from matdeg.search import _low_rank_matroid, _sig_leq
+from matdeg.weak_order import brute_force_leq
 
-from oracles import brute_max_below, depmask
+from oracles import brute_max_below, depmask, dual_depmask
 
 
 def fano_expected():
@@ -80,6 +86,32 @@ def test_min_above_hyp_trivial(fano):
     assert min_above_hyp(delta_of_matroid(fano)) == [fano]
     hg = induce([((1, 2, 3, 4, 5), 2)], 5, 3)
     assert min_above_hyp(hg) == [uniform_matroid(2, 5)]
+
+
+def test_min_above_hyp_refuses_removed_vertices():
+    # a removed point would be a loop in the rank <= 2 leaves but a point
+    # of the stable leaves' circuits
+    hg = remove_vertex(induce([((1, 2, 3), 2), ((1, 4), 1)], 5, 3), 5)
+    with pytest.raises(ValueError):
+        min_above_hyp(hg)
+    with pytest.raises(ValueError):
+        min_above_hyp_rank4(remove_vertex(induce([((1, 2, 3), 2)], 6, 4), 6))
+
+
+def test_leaf_order_against_bruteforce():
+    # every quotient map on [5]: a loop set and a partition of the rest
+    leaves = []
+    for k in range(6):
+        for loops in combinations(range(1, 6), k):
+            rest = [p for p in range(1, 6) if p not in loops]
+            for part in set_partitions(rest):
+                leaves.append(md.QuotientMap.collapsing(5, mask_of(loops), map(mask_of, part)))
+    assert len(set(leaves)) == 203
+    identity = md.QuotientMap.identity(5)
+    matroids = [_low_rank_matroid(identity, leaf) for leaf in leaves]
+    for a, ma in zip(leaves, matroids):
+        for b, mb in zip(leaves, matroids):
+            assert _sig_leq(a, b) == brute_force_leq(ma, mb), (a.target, b.target)
 
 
 def test_min_above_hyp_published_example(small_matroids, fano):
@@ -339,6 +371,19 @@ def test_compare_reads_presentation_exactly(monkeypatch, fano, fanodual, k33dual
         md.min_above(m)
     # most of them read a search leaf's presentation
     assert calls["presented"] > calls["all"] / 2 > 0
+
+
+def test_min_above_seven_points_vs_bruteforce():
+    # a seeded sample of the rank >= 4 matroids on [7], the duals of the
+    # rank <= 3 ones; the universe pairs every matroid with its dependency
+    # mask, and a dual is built only when the oracle keeps it
+    lows = list(md.all_matroids(7, 3))
+    universe = [(depmask(x), x) for x in lows]
+    universe += [(dual_depmask(x, 7, low.n), partial(md.dual, low)) for x, low in universe]
+    sample = [md.dual(low) for low in random.Random(7).sample(lows, 40)]
+    assert sum(m.n == 4 and m.is_simple() for m in sample) == 20
+    for m in sample:
+        assert list(md.min_above(m).maximal) == brute_max_below(m, universe), m.circuits
 
 
 def test_min_above_high_rank_vs_bruteforce():
