@@ -33,7 +33,6 @@ from .hypergraph import (
     leq_hyper,
     matroid_from_hypergraph,
     reduce,
-    remove_vertex,
     valuation,
 )
 from .weak_order import brute_force_leq, compare, maximal_elements

@@ -29,20 +29,24 @@ class _CliError(Exception):
     pass
 
 
+def _read_text(source):
+    """The text of the file ``source``, or of stdin for '-'."""
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError("cannot read %s: %s" % (source, exc))
+
+
 def _load_matroid(source):
     if source.startswith("catalog:"):
         try:
             return named_matroid(source.split(":", 1)[1])
         except KeyError as exc:
             raise _CliError(str(exc))
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _CliError("cannot read %s: %s" % (source, exc))
+    text = _read_text(source)
     try:
         stripped = text.lstrip()
         if stripped.startswith("{"):
@@ -53,16 +57,8 @@ def _load_matroid(source):
 
 
 def _load_hypergraph(source):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _CliError("cannot read %s: %s" % (source, exc))
     try:
-        return formats.hypergraph_from_obj(json.loads(text))
+        return formats.hypergraph_from_obj(json.loads(_read_text(source)))
     except (ValueError, KeyError) as exc:
         raise _CliError("cannot parse hypergraph %s: %s" % (source, exc))
 

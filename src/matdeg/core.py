@@ -66,7 +66,6 @@ class Matroid:
         "_closure_cache",
         "_cyclic_flats",
         "_presentation",
-        "_delta_cache",
         "_canon_cache",
         "_key",
         "_hash",
@@ -90,7 +89,6 @@ class Matroid:
         self._closure_cache = {}
         self._cyclic_flats = None
         self._presentation = None
-        self._delta_cache = {}
         self._canon_cache = None
         self._key = (d, circuit_masks)
         self._hash = hash(self._key)
@@ -351,11 +349,10 @@ def bases(m):
     return tuple(out)
 
 
-def independent_masks(m, max_size=None):
-    """All nonempty independent subsets up to max_size, canonically ordered."""
-    top = m.n if max_size is None else min(max_size, m.n)
+def independent_masks(m):
+    """All nonempty independent subsets, canonically ordered."""
     out = []
-    for size in range(1, top + 1):
+    for size in range(1, m.n + 1):
         for mask in masks_of_size(m.d, size):
             if not m._is_dependent_mask(mask):
                 out.append(mask)
@@ -556,9 +553,13 @@ class QuotientMap:
         (e, b).  That family decides the weak order below the lift, but it
         is no rank formula: two 2-point fibers over an independent pair have
         rank 2, while the minimum over the pairs gives 3.
+
+        The identity map returns ``m`` itself.
         """
         if m.d != self.q:
             raise ValueError("matroid lives on the wrong ground set")
+        if self.is_identity():
+            return m
         fibers = {self.target[pts[0] - 1]: pts for pts in self.classes}
         loops = sorted(self.removed_loops)
         circuits = [bit(p) for p in loops]

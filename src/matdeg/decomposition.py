@@ -233,8 +233,6 @@ class _Driver:
     def decompose(self, m, depth, rule):
         simple, qmap = simplify(m)
         comps = self.decompose_simple(simple, depth, rule)
-        if qmap.is_identity():
-            return comps
         return [replace(c, matroid=qmap.lift(c.matroid)) for c in comps]
 
     def decompose_simple(self, m, depth, rule):

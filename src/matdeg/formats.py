@@ -4,7 +4,9 @@ Matroid text format: a header line "d n", then one circuit per line as
 space-separated points; '#' starts a comment.  Matroid JSON:
 {"d": 7, "n": 3, "circuits": [[1, 2, 4], ...]}.  Hypergraph JSON:
 {"d": 7, "n": 3, "edges": [{"set": [1, 2, 4], "type": 2}, ...]}.
-All emitters are deterministic (canonical orders, sorted keys).
+All emitters are deterministic (canonical orders, sorted keys).  The JSON
+parsers take a JSON object and plain integers (not booleans or floats) for
+d, n, points and edge types, and raise ValueError on anything else.
 """
 
 import json
@@ -54,13 +56,41 @@ def loads_matroids(text, validate=False):
     return out
 
 
+def _object(value, what):
+    if type(value) is not dict:
+        raise ValueError("%s must be a JSON object" % what)
+    return value
+
+
+def _int(value, what):
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _int_lists(value, what):
+    """``value`` if it is a list of lists of integers (one type test per
+    element; the matroid parser is on the hot path of many small calls)."""
+    if (
+        type(value) is not list
+        or {type(x) for x in value} - {list}
+        or {type(p) for x in value for p in x} - {int}
+    ):
+        raise ValueError("%s must be a list of lists of integers" % what)
+    return value
+
+
 def matroid_to_obj(m):
     return {"d": m.d, "n": m.n, "circuits": [list(c) for c in m.circuits]}
 
 
 def matroid_from_obj(obj, validate=False):
+    n = _object(obj, "a matroid").get("n")
     return matroid_from_circuits(
-        obj["d"], obj.get("n"), [tuple(c) for c in obj["circuits"]], validate=validate
+        _int(obj["d"], "d"),
+        None if n is None else _int(n, "n"),
+        _int_lists(obj["circuits"], "circuits"),
+        validate=validate,
     )
 
 
@@ -73,9 +103,13 @@ def hypergraph_to_obj(hg):
 
 
 def hypergraph_from_obj(obj):
-    return induce(
-        [(tuple(e["set"]), e["type"]) for e in obj["edges"]], obj["d"], obj["n"]
-    )
+    edges = _object(obj, "a hypergraph")["edges"]
+    if type(edges) is not list:
+        raise ValueError("edges must be a list")
+    edges = [_object(e, "an edge") for e in edges]
+    sets = _int_lists([e["set"] for e in edges], "edge sets")
+    types = [_int(e["type"], "an edge type") for e in edges]
+    return induce(zip(sets, types), _int(obj["d"], "d"), _int(obj["n"], "n"))
 
 
 def quotient_to_obj(qmap):

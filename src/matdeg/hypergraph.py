@@ -1,16 +1,15 @@
 """Labeled hypergraphs: compact rank-bound constraints on subsets.
 
 An edge (e, i) asserts "rank(e) <= i" for every matroid lying below the
-hypergraph.  Edges live on an ambient ground set [d]; operations that drop
-vertices keep the original labels and shrink the active vertex mask, while
-``reduce`` (which identifies points connected by bound-1 edges) relabels to
-a fresh contiguous ground set and returns the quotient map.  The search and
-the matroid construction take full vertex sets only.
+hypergraph.  A hypergraph is its ambient rank n and its edges on the ground
+set [d]; no point is ever deleted.  ``reduce`` (which identifies points
+connected by bound-1 edges) relabels to a fresh contiguous ground set and
+returns the quotient map.
 """
 
 from itertools import combinations
 
-from .bitsets import bit, canon_key, full_mask, mask_of, points_of
+from .bitsets import MAX_GROUND, canon_key, full_mask, mask_of, points_of
 from .core import (
     QuotientMap,
     _greedy_rank,
@@ -24,21 +23,19 @@ from .errors import ConditionsFailed
 class LabeledHypergraph:
     """Edges (mask, bound) with 0 <= bound <= n-1, canonically sorted."""
 
-    __slots__ = ("d", "n", "vertices", "edges", "_hash")
+    __slots__ = ("d", "n", "edges", "_hash")
 
-    def __init__(self, d, n, vertices, edges):
+    def __init__(self, d, n, edges):
         self.d = d
         self.n = n
-        self.vertices = vertices
         self.edges = edges
-        self._hash = hash((d, n, vertices, edges))
+        self._hash = hash((d, n, edges))
 
     def __eq__(self, other):
         return (
             isinstance(other, LabeledHypergraph)
             and self.d == other.d
             and self.n == other.n
-            and self.vertices == other.vertices
             and self.edges == other.edges
         )
 
@@ -51,10 +48,6 @@ class LabeledHypergraph:
             self.n,
             len(self.edges),
         )
-
-    @property
-    def num_vertices(self):
-        return self.vertices.bit_count()
 
     def by_bound(self, i):
         return tuple(e for e, b in self.edges if b == i)
@@ -85,46 +78,39 @@ def _normalize_edges(raw, n):
     return tuple(kept)
 
 
-def induce(raw, d, n, vertices=None):
-    """Normalize raw (subset, bound) pairs into a labeled hypergraph.
+def induce(raw, d, n):
+    """Normalize raw (subset, bound) pairs into a labeled hypergraph on [d].
 
     Removes edges nested inside a larger edge of the same bound and edges
     with |e| <= bound; when several bounds are given for one subset the
     smallest wins.
     """
-    if vertices is None:
-        vertices = full_mask(d)
+    if not 0 <= d <= MAX_GROUND:
+        raise ValueError("ground-set size must be between 0 and %d" % MAX_GROUND)
+    if n < 0:
+        raise ValueError("the ambient rank must be nonnegative")
     pairs = []
     for e, b in raw:
         mask = e if isinstance(e, int) else mask_of(e)
-        if mask & ~vertices:
-            raise ValueError("edge %s uses removed vertices" % (points_of(mask),))
+        if mask == 0:
+            raise ValueError("an edge cannot be empty")
+        if mask & ~full_mask(d):
+            raise ValueError("edge %s is not a subset of [%d]" % (points_of(mask), d))
         if b < 0:
             raise ValueError("edge bounds must be nonnegative")
         pairs.append((mask, b))
-    return LabeledHypergraph(d, n, vertices, _normalize_edges(pairs, n))
+    return LabeledHypergraph(d, n, _normalize_edges(pairs, n))
 
 
 def with_edge(hg, mask, bound):
     """The hypergraph induced by adding one edge (bound < 0 is infeasible)."""
-    return LabeledHypergraph(
-        hg.d, hg.n, hg.vertices, _normalize_edges(hg.edges + ((mask, bound),), hg.n)
-    )
+    return LabeledHypergraph(hg.d, hg.n, _normalize_edges(hg.edges + ((mask, bound),), hg.n))
 
 
-def delta_of_matroid(m, n=None):
-    """Edges of bound i = cyclic flats of rank i, for 0 <= i <= n-1.
-
-    With the default n = rank(m) a rank-deficient ground set never shows up;
-    passing a larger ambient n records it.
-    """
-    key = n = m.n if n is None else n
-    cached = m._delta_cache.get(key)
-    if cached is None:
-        edges = tuple((f, r) for f, r in m.cyclic_flats_masks() if r <= n - 1)
-        cached = LabeledHypergraph(m.d, n, full_mask(m.d), edges)
-        m._delta_cache[key] = cached
-    return cached
+def delta_of_matroid(m):
+    """Edges of bound i = cyclic flats of rank i, for 0 <= i <= rank(m) - 1."""
+    edges = tuple((f, r) for f, r in m.cyclic_flats_masks() if r < m.n)
+    return LabeledHypergraph(m.d, m.n, edges)
 
 
 def leq_hyper(m, hg):
@@ -135,32 +121,18 @@ def leq_hyper(m, hg):
     return all(m._rank_mask(e) <= b for e, b in hg.edges)
 
 
-def remove_vertex(hg, k):
-    """Drop vertex k; edges lose k and survive while |e| >= bound+1.
-
-    Labels are preserved (the active vertex mask shrinks).
-    """
-    mask = bit(k)
-    raw = [(e & ~mask, b) for e, b in hg.edges]
-    return LabeledHypergraph(
-        hg.d, hg.n, hg.vertices & ~mask, _normalize_edges(raw, hg.n)
-    )
-
-
 def reduce(hg):
     """Identify points sharing a bound-1 edge; relabel to 1..q.
 
-    Requires no bound-0 edges and a full vertex set.  The quotient map joins
-    the bound-1 edges, and the edges of bound >= 2 pass through it.  Returns
-    the reduced hypergraph (no bound-0/1 edges remain) and the map.
+    Requires no bound-0 edges.  The quotient map joins the bound-1 edges,
+    and the edges of bound >= 2 pass through it.  Returns the reduced
+    hypergraph (no bound-0/1 edges remain) and the map.
     """
     if hg.by_bound(0):
         raise ValueError("reduction requires a hypergraph without bound-0 edges")
-    if hg.vertices != full_mask(hg.d):
-        raise ValueError("reduction requires a full vertex set")
     qmap = QuotientMap.collapsing(hg.d, 0, hg.by_bound(1))
     raw = [(qmap.apply_mask(e), b) for e, b in hg.edges if b >= 2]
-    red = LabeledHypergraph(qmap.q, hg.n, full_mask(qmap.q), _normalize_edges(raw, hg.n))
+    red = LabeledHypergraph(qmap.q, hg.n, _normalize_edges(raw, hg.n))
     return red, qmap
 
 
@@ -250,24 +222,22 @@ def check_matroid_conditions(hg, rank4=False):
     return True
 
 
-def matroid_from_hypergraph(hg, validate=False, check=True):
+def matroid_from_hypergraph(hg, validate=False):
     """The unique maximal matroid below a hypergraph meeting the pairwise
     conditions: circuits are the inclusion-minimal (bound+1)-subsets of the
     edges together with all (n+1)-subsets of the ground set."""
-    if hg.vertices != full_mask(hg.d):
-        raise ValueError("matroid construction requires a full vertex set")
-    if check and not check_matroid_conditions(hg):
+    if not check_matroid_conditions(hg):
         raise ConditionsFailed("pairwise rank-bound conditions fail")
-    m = _matroid_from_hypergraph_unchecked(hg, stable=check)
+    m = _matroid_from_hypergraph_unchecked(hg)
     if validate:
         check_circuit_axioms(m)
     return m
 
 
-def _matroid_from_hypergraph_unchecked(hg, stable):
-    """The matroid of ``hg``'s edge-induced circuits.  When the caller knows
-    the conditions hold (``stable``), it is the maximal matroid below the
-    edges, and the edges are kept as its presentation."""
+def _matroid_from_hypergraph_unchecked(hg):
+    """The matroid of ``hg``'s edge-induced circuits, for a caller that knows
+    the conditions hold: it is the maximal matroid below the edges, and the
+    edges are kept as its presentation."""
     raw = []
     for e, b in hg.edges:
         pts = points_of(e)
@@ -278,4 +248,4 @@ def _matroid_from_hypergraph_unchecked(hg, stable):
         for combo in combinations(ground, hg.n + 1):
             raw.append(mask_of(combo))
     canon = _normalize_circuit_masks(raw)
-    return _presented(hg.d, _greedy_rank(hg.d, canon), canon, hg.edges if stable else None)
+    return _presented(hg.d, _greedy_rank(hg.d, canon), canon, hg.edges)

@@ -81,19 +81,17 @@ class DegenerationReport:
     """Result of a min-above computation.
 
     ``maximal`` is a weak-order antichain of matroids strictly below the
-    source, canonically ordered; ``classes`` optionally groups it into
-    orbits of the source's automorphisms.  ``complete`` is False when a node
-    budget cut the search short.
+    source, canonically ordered.  ``complete`` is False when a node budget
+    cut the search short.
     """
 
-    __slots__ = ("source", "maximal", "classes", "stats", "complete")
+    __slots__ = ("source", "maximal", "stats", "complete")
 
-    def __init__(self, source, maximal, stats, complete=True, classes=None):
+    def __init__(self, source, maximal, stats, complete=True):
         self.source = source
         self.maximal = tuple(maximal)
         self.stats = stats
         self.complete = complete
-        self.classes = classes
 
     def __len__(self):
         return len(self.maximal)
@@ -280,9 +278,7 @@ def _expand(root, qmap, scan, limits, prune, stats):
                     break
                 branches = scan(hg)
                 if branches is None:
-                    m = _matroid_from_hypergraph_unchecked(hg, stable=True)
-                    if not qmap.is_identity():
-                        m = qmap.lift(m)
+                    m = qmap.lift(_matroid_from_hypergraph_unchecked(hg))
                     if m._key not in found:
                         found[m._key] = m
                         stats.emitted += 1
@@ -312,11 +308,9 @@ def _expand(root, qmap, scan, limits, prune, stats):
     return found, low
 
 
-def _maximal_below(root, qmap, scan, limits, prune, stats):
+def _maximal_below(root, qmap, scan, limits, stats):
     """Maximal matroids of one root expansion, low-rank leaves included."""
-    if root.vertices != full_mask(root.d):
-        raise ValueError("the search requires a full vertex set")
-    found, low = _expand(root, qmap, scan, limits, prune, stats)
+    found, low = _expand(root, qmap, scan, limits, None, stats)
     for leaf_map, leaves in low.items():
         for leaf in leaves:
             m = _low_rank_matroid(leaf_map, leaf)
@@ -353,12 +347,12 @@ def _run_roots(jobs, threads, stats):
 # -- general rank -------------------------------------------------------------
 
 
-def min_above_hyp(root, limits=None, stats=None, prune=None):
+def min_above_hyp(root, limits=None, stats=None):
     """Maximal matroids (of rank at most the ambient n) below a hypergraph."""
     if stats is None:
         stats = SearchStats()
     qmap = QuotientMap.identity(root.d)
-    return _maximal_below(root, qmap, _scan_general, limits, prune, stats)
+    return _maximal_below(root, qmap, _scan_general, limits, stats)
 
 
 def _general_roots(m):
@@ -435,7 +429,7 @@ def _require_simple_rank4(m):
 
 
 def _stratum_roots(m, v):
-    base = delta_of_matroid(m, 4)
+    base = delta_of_matroid(m)
     roots = []
     for x in masks_of_size(m.d, v):
         if m._is_dependent_mask(x):
@@ -462,7 +456,7 @@ def stratum_min(m, v, limits=None, stats=None, threads=1):
         stats = SearchStats()
     scan = partial(_scan_rank4, v=v)
     jobs = [
-        (_maximal_below, (root, qmap, scan, limits, None))
+        (_maximal_below, (root, qmap, scan, limits))
         for root, qmap in _stratum_roots(m, v)
     ]
     candidates = {}
@@ -514,7 +508,7 @@ def min_above_hyp_rank4(root, limits=None, stats=None):
     candidates = {}
     for v in (2, 3, 4):
         scan = partial(_scan_rank4, v=v)
-        for mm in _maximal_below(root, qmap, scan, limits, None, stats):
+        for mm in _maximal_below(root, qmap, scan, limits, stats):
             candidates[mm._key] = mm
     return maximal_elements(candidates.values(), stats)
 

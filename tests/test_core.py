@@ -237,6 +237,14 @@ def test_simplify_identity(fano):
     assert qmap.is_identity()
 
 
+def test_identity_lift_returns_its_argument(fano):
+    m = md.matroid_from_hypergraph(md.delta_of_matroid(fano))
+    assert m._presentation  # the Fano lines
+    assert md.QuotientMap.identity(7).lift(m) is m
+    with pytest.raises(ValueError):
+        md.QuotientMap.identity(6).lift(m)
+
+
 def test_simplify_collapse():
     # a three-point line whose points each split in two, i.e. the simple
     # quotient has 4 classes (B'-style fixture)

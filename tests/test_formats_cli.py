@@ -211,6 +211,53 @@ def test_cli_rejects_non_matroid(tmp_path, monkeypatch, circuits):
     assert code == 2 and out == ""
 
 
+_HG = {"d": 4, "n": 3, "edges": [{"set": [1, 2], "type": 1}, {"set": [1, 3, 4], "type": 2}]}
+_MATROID = {"d": 4, "n": 3, "circuits": [[1, 2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "verb, key, value",
+    [
+        ("reduce", "type", "1"),
+        ("reduce", "type", 1.5),
+        ("reduce", "set", [1, 1.5]),
+        ("reduce", "set", [1, 2.0]),
+        ("reduce", "set", []),
+        ("reduce", "set", [1, 5]),
+        ("reduce", "d", "4"),
+        ("reduce", "d", 4.0),
+        ("reduce", "d", 100),
+        ("reduce", "n", "2"),
+        ("reduce", "n", -1),
+        ("reduce", None, [_HG]),
+        ("min-above", "circuits", [[1, 2, 3.0]]),
+        ("min-above", "circuits", [[1, 1.5, 3]]),
+        ("min-above", "circuits", "123"),
+        ("min-above", "d", "4"),
+        ("min-above", "d", 4.0),
+        ("min-above", "d", True),
+        ("min-above", "n", "2"),
+    ],
+)
+def test_cli_malformed_json_is_input_error(tmp_path, verb, key, value):
+    # "type" and "set" replace the first edge's fields; key None replaces
+    # the whole document
+    base = _HG if verb == "reduce" else _MATROID
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(base))
+    assert run_cli(verb, str(path))[0] == 0
+    obj = json.loads(json.dumps(base))
+    if key is None:
+        obj = value
+    elif key in ("type", "set"):
+        obj["edges"][0][key] = value
+    else:
+        obj[key] = value
+    path.write_text(json.dumps(obj))
+    code, out = run_cli(verb, str(path))
+    assert code == 2 and out == ""
+
+
 def test_cli_usage_errors():
     code, _ = run_cli("compare", "catalog:fano", "catalog:qs")
     assert code == 2  # ground sets differ -> input error

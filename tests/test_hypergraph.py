@@ -12,7 +12,6 @@ from matdeg import (
     induce,
     leq_hyper,
     matroid_from_hypergraph,
-    remove_vertex,
     uniform_matroid,
     valuation,
 )
@@ -40,16 +39,22 @@ def test_induce_size_rule():
     assert induce([((1, 2), 2)], 4, 3).edges == ()
 
 
+def test_induce_refuses_bad_input():
+    with pytest.raises(ValueError):
+        induce([((1, 5), 1)], 4, 3)  # point 5 lies outside [4]
+    with pytest.raises(ValueError):
+        induce([((), 1)], 4, 3)
+    with pytest.raises(ValueError):
+        induce([], 65, 3)
+    with pytest.raises(ValueError):
+        induce([], 4, -1)
+
+
 def test_delta_of_matroid(fano):
     delta = delta_of_matroid(fano)
     assert edge_sets(delta) == {(l, 2) for l in FANO_LINES}
-    # with its own rank as ambient bound, a rank-deficient ground set stays
-    # out; raising the ambient bound records it
-    u38 = uniform_matroid(3, 8)
-    assert delta_of_matroid(u38).edges == ()
-    assert delta_of_matroid(u38, 4).edge_points() == (
-        ((1, 2, 3, 4, 5, 6, 7, 8), 3),
-    )
+    # a cyclic flat of full rank bounds nothing and stays out
+    assert delta_of_matroid(uniform_matroid(3, 8)).edges == ()
     assert delta_of_matroid(uniform_matroid(4, 4)).edges == ()
 
 
@@ -73,15 +78,6 @@ def test_leq_hyper_delta_example():
     )
     assert leq_hyper(a1, hg)
     assert leq_hyper(b1, hg)
-
-
-def test_remove_vertex():
-    hg = induce([((2, 3, 4), 2), ((1, 5, 6), 2)], 6, 3)
-    out = remove_vertex(hg, 1)
-    assert out.num_vertices == 5
-    assert edge_sets(out) == {((2, 3, 4), 2)}  # {5,6} fails the size rule
-    out2 = remove_vertex(induce([((1, 2, 3, 4), 2)], 4, 3), 1)
-    assert edge_sets(out2) == {((2, 3, 4), 2)}
 
 
 def test_reduce_published_example():
@@ -140,16 +136,13 @@ def test_matroid_from_hypergraph(fano):
         )
 
 
-def test_unchecked_edges_are_no_presentation(small_matroids):
-    # the pairs 1~3, 1~5, 2~3 are not closed under transitivity, so the
-    # edges do not present the edge-induced family: compare must read its
-    # cyclic flats, as for the same circuits parsed
+def test_non_transitive_pairs_are_refused():
+    # the pairs 1~3, 1~5, 2~3 are not closed under transitivity: their
+    # edge-induced family breaks circuit elimination, so it is no matroid
     hg = induce([((1, 3), 1), ((1, 5), 1), ((2, 3), 1)], 5, 3)
     assert not check_matroid_conditions(hg)
-    loose = matroid_from_hypergraph(hg, check=False)
-    parsed = md.Matroid(5, loose.n, loose.circuit_masks)
-    for m in small_matroids[5]:
-        assert md.compare(m, loose) == md.compare(m, parsed)
+    with pytest.raises(ConditionsFailed):
+        matroid_from_hypergraph(hg)
 
 
 def test_leq_hyper_bounds_rank(small_matroids):

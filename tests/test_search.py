@@ -28,7 +28,6 @@ from matdeg.catalog import (
 )
 from matdeg.enumeration import set_partitions
 from matdeg.experiments import block_collapse, point_sum
-from matdeg.hypergraph import remove_vertex
 from matdeg.isomorphism import automorphisms, orbit_of
 from matdeg.search import _low_rank_matroid, _sig_leq
 from matdeg.weak_order import brute_force_leq
@@ -86,16 +85,6 @@ def test_min_above_hyp_trivial(fano):
     assert min_above_hyp(delta_of_matroid(fano)) == [fano]
     hg = induce([((1, 2, 3, 4, 5), 2)], 5, 3)
     assert min_above_hyp(hg) == [uniform_matroid(2, 5)]
-
-
-def test_min_above_hyp_refuses_removed_vertices():
-    # a removed point would be a loop in the rank <= 2 leaves but a point
-    # of the stable leaves' circuits
-    hg = remove_vertex(induce([((1, 2, 3), 2), ((1, 4), 1)], 5, 3), 5)
-    with pytest.raises(ValueError):
-        min_above_hyp(hg)
-    with pytest.raises(ValueError):
-        min_above_hyp_rank4(remove_vertex(induce([((1, 2, 3), 2)], 6, 4), 6))
 
 
 def test_leaf_order_against_bruteforce():
