@@ -52,14 +52,14 @@ def _load_matroid(source):
         if stripped.startswith("{"):
             return formats.matroid_from_obj(json.loads(text), validate=True)
         return formats.loads_matroid(text, validate=True)
-    except (ValueError, KeyError, MatdegError) as exc:
+    except (ValueError, KeyError, RecursionError, MatdegError) as exc:
         raise _CliError("cannot parse matroid %s: %s" % (source, exc))
 
 
 def _load_hypergraph(source):
     try:
         return formats.hypergraph_from_obj(json.loads(_read_text(source)))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         raise _CliError("cannot parse hypergraph %s: %s" % (source, exc))
 
 
@@ -135,8 +135,11 @@ def _cmd_decompose(args):
     else:
         try:
             with open(args.hints) as fh:
-                hints = load_hints(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+                obj = json.load(fh)
+            if type(obj) is not dict:  # load_hints reads a string as a spec name
+                raise ValueError("hints must be a JSON object")
+            hints = load_hints(obj)
+        except (OSError, ValueError, KeyError, RecursionError) as exc:
             raise _CliError("cannot load hints %s: %s" % (args.hints, exc))
     result = decompose(
         m, hints=hints, max_depth=args.max_depth, budget=args.budget, threads=_threads(args)

@@ -67,6 +67,7 @@ class Matroid:
         "_cyclic_flats",
         "_presentation",
         "_canon_cache",
+        "_sort_key",
         "_key",
         "_hash",
     )
@@ -90,6 +91,7 @@ class Matroid:
         self._cyclic_flats = None
         self._presentation = None
         self._canon_cache = None
+        self._sort_key = None
         self._key = (d, circuit_masks)
         self._hash = hash(self._key)
 
@@ -112,7 +114,10 @@ class Matroid:
         )
 
     def sort_key(self):
-        return (self.d, self.n, tuple(canon_key(c) for c in self.circuit_masks))
+        """(d, n, circuits in canonical form), computed once per instance."""
+        if self._sort_key is None:
+            self._sort_key = (self.d, self.n, tuple(canon_key(c) for c in self.circuit_masks))
+        return self._sort_key
 
     @property
     def circuits(self):
@@ -560,20 +565,21 @@ class QuotientMap:
             raise ValueError("matroid lives on the wrong ground set")
         if self.is_identity():
             return m
-        fibers = {self.target[pts[0] - 1]: pts for pts in self.classes}
+        fibers = {self.target[pts[0] - 1]: tuple(map(bit, pts)) for pts in self.classes}
         loops = sorted(self.removed_loops)
         circuits = [bit(p) for p in loops]
-        for pts in fibers.values():
-            for a, b in combinations(pts, 2):
-                circuits.append(bit(a) | bit(b))
+        for bits in fibers.values():
+            for a, b in combinations(bits, 2):
+                circuits.append(a | b)
         for c in m.circuit_masks:
-            pools = [fibers[t] for t in points_of(c)]
-            for choice in _product(pools):
-                circuits.append(mask_of(choice))
+            transversals = [0]
+            for t in points_of(c):
+                transversals = [x | b for x in transversals for b in fibers[t]]
+            circuits += transversals
         canon = tuple(sorted(set(circuits), key=canon_key))
         pres = m._presentation
         if pres is not None:
-            fiber_masks = {t: mask_of(pts) for t, pts in fibers.items()}
+            fiber_masks = {t: sum(bits) for t, bits in fibers.items()}
             lifted = [(mask_of(loops), 0)] if loops else []
             lifted += [(f, 1) for f in fiber_masks.values() if f.bit_count() >= 2]
             for e, b in pres:
@@ -583,15 +589,6 @@ class QuotientMap:
                 lifted.append((pre, b))
             pres = tuple(lifted)
         return _presented(self.d_source, m.n, canon, pres)
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 def simplify(m):

@@ -140,19 +140,24 @@ def paper_hints():
 def load_hints(name_or_obj):
     """Hint specs: "paper", "default"/"none", or a parsed JSON object with
     optional "realizable", "non_realizable", "exact", "covered" lists whose
-    entries are catalog names or canonical hashes."""
+    entries are catalog names or canonical hashes.  Any other object raises
+    ValueError."""
     if name_or_obj in (None, "default"):
         return default_hints()
     if name_or_obj == "paper":
         return paper_hints()
     if name_or_obj == "none":
         return Hints()
+    if type(name_or_obj) is not dict:
+        raise ValueError("hints must be a JSON object")
+    for field in ("realizable", "non_realizable", "exact", "covered"):
+        entries = name_or_obj.get(field, [])
+        if type(entries) is not list or any(type(e) is not str for e in entries):
+            raise ValueError("hints %r must be a list of strings" % field)
     from .catalog import catalog as named
 
     def to_hash(entry):
-        if isinstance(entry, str) and len(entry) == 64 and all(
-            c in "0123456789abcdef" for c in entry
-        ):
+        if len(entry) == 64 and all(c in "0123456789abcdef" for c in entry):
             return entry
         return _key(named(entry))
 

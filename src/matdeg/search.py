@@ -9,6 +9,12 @@ Branching is justified by submodularity: when two edges overvalue their
 union and intersection, any matroid below the hypergraph satisfies the
 tightened bound on at least one of the two.
 
+A stable leaf is built once per hypergraph per top-level call: one leaf
+memo, keyed by the stable hypergraph, is shared by every root and stratum
+of a ``min_above_general`` or ``min_above_rank4`` call (each pooled job gets
+an empty one) and dropped when the call returns.  Each hit is lifted through
+its own quotient map as before, so outputs and counters do not depend on it.
+
 Two branching rules feed the engine.  The general rule starts one search per
 independent set (declared newly dependent).  The rank-4 rule stratifies by
 the size of the first new circuit, prunes branches that cannot stay inside
@@ -244,15 +250,17 @@ class _RootPrune:
 # -- the engine ---------------------------------------------------------------
 
 
-def _expand(root, qmap, scan, limits, prune, stats):
+def _expand(root, qmap, scan, limits, prune, stats, memo):
     """Depth-first expansion of one root hypergraph on the quotient ground
     set of ``qmap``, branching by the rule ``scan``.
 
     Returns (found, low): the stable-leaf matroids lifted to the source,
     keyed by their identity, and per quotient map a running antichain of
     rank <= 2 leaves, each a quotient map of its own (materialized by the
-    caller, which may first reduce them across roots).  A single live
-    branch is applied in place.  ``prune`` drops split branches whose
+    caller, which may first reduce them across roots).  A stable leaf is
+    built on the quotient ground set only when the leaf memo ``memo``, a
+    dict from stable hypergraph to matroid, does not hold it yet.  A single
+    live branch is applied in place.  ``prune`` drops split branches whose
     matroids another root covers.
     Raises BudgetExceeded when the node budget in ``limits`` runs out.
     """
@@ -278,7 +286,10 @@ def _expand(root, qmap, scan, limits, prune, stats):
                     break
                 branches = scan(hg)
                 if branches is None:
-                    m = qmap.lift(_matroid_from_hypergraph_unchecked(hg))
+                    base = memo.get(hg)
+                    if base is None:
+                        base = memo[hg] = _matroid_from_hypergraph_unchecked(hg)
+                    m = qmap.lift(base)
                     if m._key not in found:
                         found[m._key] = m
                         stats.emitted += 1
@@ -308,9 +319,9 @@ def _expand(root, qmap, scan, limits, prune, stats):
     return found, low
 
 
-def _maximal_below(root, qmap, scan, limits, stats):
+def _maximal_below(root, qmap, scan, limits, stats, memo):
     """Maximal matroids of one root expansion, low-rank leaves included."""
-    found, low = _expand(root, qmap, scan, limits, None, stats)
+    found, low = _expand(root, qmap, scan, limits, None, stats, memo)
     for leaf_map, leaves in low.items():
         for leaf in leaves:
             m = _low_rank_matroid(leaf_map, leaf)
@@ -320,25 +331,30 @@ def _maximal_below(root, qmap, scan, limits, stats):
     return maximal_elements(found.values(), stats)
 
 
-def _solve(job):
-    """Run one root job ``(fn, args)`` on its own counters; the result is
-    None when the root's node budget ran out."""
+def _solve(job, memo=None):
+    """Run one root job ``(fn, args)`` on its own counters and the leaf memo
+    ``memo`` (a new one when None); the result is None when the root's node
+    budget ran out."""
     fn, args = job
     stats = SearchStats()
     try:
-        return fn(*args, stats), stats
+        return fn(*args, stats, {} if memo is None else memo), stats
     except BudgetExceeded:
         return None, stats
 
 
-def _run_roots(jobs, threads, stats):
+def _run_roots(jobs, threads, stats, memo):
     """Yield each root job's result in job order, merging its counters into
-    ``stats``.  With threads > 1 the jobs run in worker processes; results
-    stream back in order, so the output is identical to a serial run, and
-    node budgets apply per root, so partial results are reproducible too."""
+    ``stats``.  Serial jobs share the leaf memo ``memo``.  With threads > 1
+    the jobs run in worker processes, each on an empty memo; results stream
+    back in order, so the output is identical to a serial run, and node
+    budgets apply per root, so partial results are reproducible too."""
     parallel = threads > 1 and len(jobs) > 1
     with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
-        results = pool.map(_solve, jobs, chunksize=4) if parallel else map(_solve, jobs)
+        if parallel:
+            results = pool.map(_solve, jobs, chunksize=4)
+        else:
+            results = map(partial(_solve, memo=memo), jobs)
         for out, root_stats in results:
             stats.merge(root_stats)
             yield out
@@ -352,7 +368,7 @@ def min_above_hyp(root, limits=None, stats=None):
     if stats is None:
         stats = SearchStats()
     qmap = QuotientMap.identity(root.d)
-    return _maximal_below(root, qmap, _scan_general, limits, stats)
+    return _maximal_below(root, qmap, _scan_general, limits, stats, {})
 
 
 def _general_roots(m):
@@ -390,7 +406,7 @@ def min_above_general(m, limits=None, threads=1):
     ]
     leaves = set()
     complete = True
-    for out in _run_roots(jobs, threads, stats):
+    for out in _run_roots(jobs, threads, stats, {}):
         if out is None:
             complete = False
             continue
@@ -443,11 +459,12 @@ def _stratum_roots(m, v):
     return roots
 
 
-def stratum_min(m, v, limits=None, stats=None, threads=1):
+def stratum_min(m, v, limits=None, stats=None, threads=1, memo=None):
     """Maximal degenerations whose first new circuit appears in size v.
 
     The candidate set runs over independent v-subsets; for v = 2 the forced
     double point is identified up front and results are lifted back.
+    ``memo`` is the leaf memo of the calling search (a new one when None).
     """
     _require_simple_rank4(m)
     if v not in (2, 3, 4):
@@ -460,7 +477,7 @@ def stratum_min(m, v, limits=None, stats=None, threads=1):
         for root, qmap in _stratum_roots(m, v)
     ]
     candidates = {}
-    for out in _run_roots(jobs, threads, stats):
+    for out in _run_roots(jobs, threads, stats, {} if memo is None else memo):
         if out is None:
             raise BudgetExceeded("node budget exhausted")
         for mm in out:
@@ -479,9 +496,10 @@ def min_above_rank4(m, limits=None, threads=1):
     complete = True
     s1 = sorted((designate_loop(m, i) for i in range(1, m.d + 1)), key=Matroid.sort_key)
     strata = {1: s1}
+    memo = {}
     for v in (2, 3, 4):
         try:
-            strata[v] = stratum_min(m, v, limits, stats, threads)
+            strata[v] = stratum_min(m, v, limits, stats, threads, memo)
         except BudgetExceeded:
             strata[v] = []
             complete = False
@@ -506,9 +524,10 @@ def min_above_hyp_rank4(root, limits=None, stats=None):
         stats = SearchStats()
     qmap = QuotientMap.identity(root.d)
     candidates = {}
+    memo = {}
     for v in (2, 3, 4):
         scan = partial(_scan_rank4, v=v)
-        for mm in _maximal_below(root, qmap, scan, limits, stats):
+        for mm in _maximal_below(root, qmap, scan, limits, stats, memo):
             candidates[mm._key] = mm
     return maximal_elements(candidates.values(), stats)
 

@@ -5,7 +5,7 @@ matroid families) and deliberately avoids the production code paths.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from matdeg.bitsets import mask_of, points_of
 from matdeg.core import dependent_bitmap
@@ -178,3 +178,29 @@ def all_matroids_by_antichains(d):
 
     grow(0, [])
     return found
+
+
+def brute_lift(target, m):
+    """Lift of m through the quotient map with the given target tuple
+    (0 for a removed loop), as (circuits, presentation): loops, pairs
+    inside each fiber and every transversal of the fibers of each circuit
+    of m, canonically sorted; the presentation is (loops, 0), (fiber, 1)
+    for each fiber of two or more points in label order, then the
+    preimage of each pair of m's presentation (None when m has none)."""
+    d = len(target)
+    fiber = {t: [p for p in range(1, d + 1) if target[p - 1] == t] for t in range(1, m.d + 1)}
+    loops = [p for p in range(1, d + 1) if target[p - 1] == 0]
+    circuits = {mask_of([p]) for p in loops}
+    for pts in fiber.values():
+        circuits |= {mask_of(pair) for pair in combinations(pts, 2)}
+    for c in m.circuits:
+        for choice in product(*(fiber[t] for t in c)):
+            circuits.add(mask_of(choice))
+    circuits = tuple(sorted(circuits, key=lambda c: (c.bit_count(), points_of(c))))
+    if m._presentation is None:
+        return circuits, None
+    pres = [(mask_of(loops), 0)] if loops else []
+    pres += [(mask_of(fiber[t]), 1) for t in sorted(fiber) if len(fiber[t]) >= 2]
+    for e, b in m._presentation:
+        pres.append((mask_of(p for t in points_of(e) for p in fiber[t]), b))
+    return circuits, tuple(pres)

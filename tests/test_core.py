@@ -28,9 +28,15 @@ from matdeg import (
     uniform_matroid,
 )
 from matdeg.bitsets import mask_of
-from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, check_circuit_axioms
+from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, _presented, check_circuit_axioms
 
-from oracles import brute_closure, brute_cyclic_flats, brute_elimination_ok, brute_rank
+from oracles import (
+    brute_closure,
+    brute_cyclic_flats,
+    brute_elimination_ok,
+    brute_lift,
+    brute_rank,
+)
 
 
 def test_uniform_construction():
@@ -284,6 +290,31 @@ def test_simplify_against_brute_force_classes():
         assert qmap.classes == tuple(classes), m.circuits
         count += 1
     assert count == 3807
+
+
+def _random_quotient(rng, q):
+    """A quotient map onto [q] with up to three extra fiber points and up
+    to two loops, labels in random positions."""
+    labels = list(range(1, q + 1)) + [rng.randint(1, q) for _ in range(rng.randint(0, 3))]
+    labels += [0] * rng.randint(0, 2)
+    rng.shuffle(labels)
+    return md.QuotientMap(len(labels), labels)
+
+
+def test_lift_against_brute_force():
+    # every matroid on [5] and a sample on [6], each bare and with its
+    # cyclic flats as a presentation, lifted through seeded random maps
+    rng = random.Random(12)
+    inputs = list(md.all_matroids(5)) + rng.sample(list(md.all_matroids(6, 6)), 300)
+    for m in inputs:
+        flats = tuple(fr for fr in m.cyclic_flats_masks() if fr[1] < m.n)
+        for base in (m, _presented(m.d, m.n, m.circuit_masks, flats)):
+            qmap = _random_quotient(rng, m.d)
+            lifted = qmap.lift(base)
+            circuits, pres = brute_lift(qmap.target, base)
+            assert (lifted.d, lifted.n) == (qmap.d_source, m.n)
+            assert lifted.circuit_masks == circuits, (m.circuits, qmap.target)
+            assert lifted._presentation == pres, (m.circuits, qmap.target)
 
 
 def test_subspace_table(qs):

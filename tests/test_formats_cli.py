@@ -183,6 +183,40 @@ def test_cli_decompose_json():
     assert statuses == {"irreducible-proven"}
 
 
+@pytest.mark.parametrize(
+    "hints",
+    [
+        [1],
+        "fano",
+        "none",
+        {"realizable": "fano"},
+        {"exact": ["grid33", 3]},
+        {"covered": {"fano": 1}},
+    ],
+)
+def test_cli_refuses_malformed_hints(tmp_path, hints):
+    path = tmp_path / "hints.json"
+    path.write_text(json.dumps({"non_realizable": ["fano"]}))
+    assert run_cli("decompose", "catalog:qs", "--hints", str(path))[0] == 0
+    path.write_text(json.dumps(hints))
+    code, out = run_cli("decompose", "catalog:qs", "--hints", str(path))
+    assert code == 2 and out == ""
+
+
+def test_cli_deeply_nested_json_is_input_error(tmp_path, monkeypatch):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    deep = "[" * 100_000
+    for verb in ("reduce", "min-above"):
+        for text in (deep, '{"d": ' + deep):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out = run_cli(verb, "-")
+            assert code == 2 and out == ""
+    path = tmp_path / "hints.json"
+    path.write_text(deep)
+    code, out = run_cli("decompose", "catalog:qs", "--hints", str(path))
+    assert code == 2 and out == ""
+
+
 def test_cli_matroid_from_file(tmp_path, fano):
     path = tmp_path / "m.txt"
     path.write_text(formats.dumps_matroid(fano))

@@ -328,6 +328,33 @@ def test_serial_and_pooled_search_agree(fano):
         ]
 
 
+def test_leaf_memo_lives_for_one_call(monkeypatch, vamos, fanodual):
+    # one call builds each stable hypergraph once, across roots and strata
+    builds = []
+    build = md.search._matroid_from_hypergraph_unchecked
+
+    def counted(hg):
+        builds.append(hg)
+        return build(hg)
+
+    monkeypatch.setattr(md.search, "_matroid_from_hypergraph_unchecked", counted)
+    serial = min_above_rank4(fanodual)
+    assert len(builds) == len(set(builds)) == 188
+    assert serial.stats.emitted == 511
+    # pooled jobs start from empty memos and agree with the serial run
+    pooled = min_above_rank4(fanodual, threads=2)
+    assert list(pooled.maximal) == list(serial.maximal)
+    assert _counters(pooled) == _counters(serial)
+    assert [x._presentation for x in pooled.maximal] == [
+        x._presentation for x in serial.maximal
+    ]
+    # nothing is kept between calls
+    first, second = md.min_above(vamos), md.min_above(vamos)
+    assert list(first.maximal) == list(second.maximal)
+    assert _counters(first) == _counters(second)
+    assert not any(a is b for a in first.maximal for b in second.maximal)
+
+
 def test_pooled_budgets_match_serial(fano, vamos):
     serial = min_above_general(fano, md.SearchLimits(2))
     pooled = min_above_general(fano, md.SearchLimits(2), threads=2)
