@@ -2,12 +2,19 @@
 
 Point p corresponds to bit p-1.  All subset families in the package are kept
 in the canonical order (popcount, then point tuple), which coincides with
-"by size, then lexicographic".
+"by size, then lexicographic".  ``canon_key`` gives that order as one int:
+of two sets of equal size, the lexicographically smaller one holds the
+lowest point of their symmetric difference, so the key is the popcount
+above the complement of the bit-reversed 64-bit mask.
 """
 
 from itertools import combinations
 
 MAX_GROUND = 64
+
+# _REVERSED[b] is the byte b with its bit order reversed
+_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+_LOW64 = (1 << 64) - 1
 
 
 def bit(p):
@@ -35,8 +42,10 @@ def full_mask(d):
 
 
 def canon_key(mask):
-    """Sort key giving the (size, lexicographic) order on subsets."""
-    return (mask.bit_count(), points_of(mask))
+    """Int sort key giving the (size, lexicographic) order on subsets of
+    [MAX_GROUND]."""
+    rev = int.from_bytes(mask.to_bytes(8, "big").translate(_REVERSED), "little")
+    return (mask.bit_count() << 64) | (rev ^ _LOW64)
 
 
 def submasks_of_size(mask, k):

@@ -9,8 +9,15 @@ as Steiner-system inputs.
 import re
 from itertools import combinations
 
-from .bitsets import mask_of, masks_of_size
-from .core import Matroid, _normalize_circuit_masks, check_circuit_axioms, uniform_matroid
+from .bitsets import MAX_GROUND, mask_of, masks_of_size
+from .core import (
+    Matroid,
+    _GroundSetTooLarge,
+    _normalize_circuit_masks,
+    check_circuit_axioms,
+    uniform_matroid,
+)
+from .errors import excerpt
 
 FANO_LINES = (
     (1, 2, 4),
@@ -125,6 +132,8 @@ def steiner_matroid(d, blocks, strength, validate=True):
     the blocks become the dependent hyperplanes of a rank strength+1 paving
     matroid.
     """
+    if d > MAX_GROUND:
+        raise _GroundSetTooLarge("ground-set size %d exceeds %d" % (d, MAX_GROUND))
     blocks = tuple(tuple(sorted(b)) for b in blocks)
     for combo in combinations(range(1, d + 1), strength):
         hits = sum(1 for b in blocks if set(combo) <= set(b))
@@ -318,7 +327,7 @@ def catalog(name):
     else:
         match = _UNIFORM_SHORT.match(key) or _UNIFORM_LONG.match(key)
         if not match:
-            raise KeyError("unknown catalog name %r" % name)
+            raise KeyError("unknown catalog name %s" % excerpt(name))
         n, d = int(match.group(1)), int(match.group(2))
         m = uniform_matroid(n, d)
     _CACHE[key] = m

@@ -14,7 +14,7 @@ import sys
 from .catalog import catalog as named_matroid, catalog_names
 from . import formats
 from .decomposition import decompose, load_hints
-from .errors import MatdegError
+from .errors import MatdegError, excerpt
 from .hypergraph import reduce as reduce_hypergraph
 from .isomorphism import are_isomorphic, automorphisms, group_by_symmetry
 from .search import SearchLimits, min_above
@@ -83,7 +83,7 @@ def _threads(args):
     except ValueError:
         count = 0
     if count < 1:
-        raise _CliError("thread count must be a positive integer, got %r" % (value,))
+        raise _CliError("thread count must be a positive integer, got %s" % excerpt(value))
     return count
 
 

@@ -25,7 +25,7 @@ from .bitsets import (
     masks_of_size,
     points_of,
 )
-from .errors import AxiomViolation, MatdegError, RankMismatch
+from .errors import AxiomViolation, MatdegError, RankMismatch, excerpt
 
 # Largest number of subsets of size <= rank that ``cyclic_flats_masks`` may
 # close.  Every catalog entry fits (PG(2,4) needs 1,562, AG(2,4) 697); a
@@ -78,14 +78,7 @@ class Matroid:
         self.d = d
         self.n = n
         self.circuit_masks = circuit_masks
-        by_point = [()] * (d + 1)
-        buckets = {}
-        for c in circuit_masks:
-            for p in points_of(c):
-                buckets.setdefault(p, []).append(c)
-        for p, cs in buckets.items():
-            by_point[p] = tuple(cs)
-        self._by_point = tuple(by_point)
+        self._by_point = _circuits_by_point(d, circuit_masks)
         self._rank_cache = {}
         self._closure_cache = {}
         self._cyclic_flats = None
@@ -114,7 +107,9 @@ class Matroid:
         )
 
     def sort_key(self):
-        """(d, n, circuits in canonical form), computed once per instance."""
+        """(d, n, the ``canon_key`` of each circuit), computed once per
+        instance: the int keys are small, and rank-4 searches sort their
+        candidates repeatedly."""
         if self._sort_key is None:
             self._sort_key = (self.d, self.n, tuple(canon_key(c) for c in self.circuit_masks))
         return self._sort_key
@@ -272,7 +267,7 @@ def matroid_from_circuits(d, n=None, circuits=(), validate=False):
         if m == 0:
             raise ValueError("the empty set cannot be a circuit")
         if m & ~fm:
-            raise ValueError("circuit %s is not a subset of [%d]" % (points_of(m), d))
+            raise ValueError("circuit %s is not a subset of [%d]" % (excerpt(points_of(m)), d))
         masks.append(m)
     canon = _normalize_circuit_masks(masks)
     rank = _greedy_rank(d, canon)
@@ -284,15 +279,24 @@ def matroid_from_circuits(d, n=None, circuits=(), validate=False):
     return m
 
 
-def _greedy_rank(d, circuit_masks):
-    by_point = {}
+def _circuits_by_point(d, circuit_masks):
+    """Entry p holds the circuits through point p, in their given order."""
+    buckets = [[] for _ in range(d + 1)]
     for c in circuit_masks:
-        for p in points_of(c):
-            by_point.setdefault(p, []).append(c)
+        rest = c
+        while rest:
+            low = rest & -rest
+            buckets[low.bit_length()].append(c)
+            rest ^= low
+    return tuple(map(tuple, buckets))
+
+
+def _greedy_rank(d, circuit_masks):
+    by_point = _circuits_by_point(d, circuit_masks)
     indep = 0
     for p in range(1, d + 1):
         cand = indep | bit(p)
-        if not any(c & ~cand == 0 for c in by_point.get(p, ())):
+        if not any(c & ~cand == 0 for c in by_point[p]):
             indep = cand
     return indep.bit_count()
 
@@ -368,6 +372,8 @@ def independent_masks(m):
 
 
 def uniform_matroid(n, d):
+    if d > MAX_GROUND:
+        raise _GroundSetTooLarge("ground-set size %d exceeds %d" % (d, MAX_GROUND))
     if n > d:
         raise ValueError("rank cannot exceed the ground-set size")
     circuits = tuple(masks_of_size(d, n + 1))

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of input
+values in error messages."""
+
+import reprlib
+
+_EXCERPT_CHARS = 80
+
+
+def excerpt(value):
+    """The repr of an input value for an error message, cut to at most
+    ``_EXCERPT_CHARS`` characters, so an oversized input cannot flood it."""
+    text = reprlib.repr(value)
+    if len(text) > _EXCERPT_CHARS:
+        text = text[: _EXCERPT_CHARS - 3] + "..."
+    return text
 
 
 class MatdegError(Exception):

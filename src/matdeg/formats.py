@@ -12,6 +12,7 @@ d, n, points and edge types, and raise ValueError on anything else.
 import json
 
 from .core import matroid_from_circuits
+from .errors import excerpt
 from .hypergraph import induce
 
 
@@ -64,7 +65,7 @@ def _object(value, what):
 
 def _int(value, what):
     if type(value) is not int:
-        raise ValueError("%s must be an integer, got %r" % (what, value))
+        raise ValueError("%s must be an integer, got %s" % (what, excerpt(value)))
     return value
 
 

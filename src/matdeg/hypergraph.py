@@ -5,19 +5,33 @@ hypergraph.  A hypergraph is its ambient rank n and its edges on the ground
 set [d]; no point is ever deleted.  ``reduce`` (which identifies points
 connected by bound-1 edges) relabels to a fresh contiguous ground set and
 returns the quotient map.
+
+The edges are always normalized: one bound per mask, every bound below n
+and below the mask's size, no edge nested in another of the same bound,
+sorted by bound and then in the canonical subset order.  ``induce``,
+``reduce``, ``delta_of_matroid`` and ``with_edge`` are the only functions
+that make a hypergraph, and ``with_edge`` relies on its argument being
+normalized to insert one edge in a single pass.
 """
 
-from itertools import combinations
+from bisect import bisect
 
-from .bitsets import MAX_GROUND, canon_key, full_mask, mask_of, points_of
+from .bitsets import (
+    MAX_GROUND,
+    canon_key,
+    full_mask,
+    mask_of,
+    masks_of_size,
+    points_of,
+    submasks_of_size,
+)
 from .core import (
     QuotientMap,
     _greedy_rank,
-    _normalize_circuit_masks,
     _presented,
     check_circuit_axioms,
 )
-from .errors import ConditionsFailed
+from .errors import ConditionsFailed, excerpt
 
 
 class LabeledHypergraph:
@@ -56,6 +70,11 @@ class LabeledHypergraph:
         return tuple((points_of(e), b) for e, b in self.edges)
 
 
+def _edge_key(edge):
+    """Canonical edge order: by bound, then in the canonical subset order."""
+    return (edge[1], canon_key(edge[0]))
+
+
 def _normalize_edges(raw, n):
     """Minimal bound per mask, size filter, same-bound nesting filter."""
     best = {}
@@ -74,7 +93,7 @@ def _normalize_edges(raw, n):
         for m in masks:
             if not any(m != o and m & ~o == 0 for o in masks):
                 kept.append((m, b))
-    kept.sort(key=lambda eb: (eb[1], canon_key(eb[0])))
+    kept.sort(key=_edge_key)
     return tuple(kept)
 
 
@@ -95,7 +114,7 @@ def induce(raw, d, n):
         if mask == 0:
             raise ValueError("an edge cannot be empty")
         if mask & ~full_mask(d):
-            raise ValueError("edge %s is not a subset of [%d]" % (points_of(mask), d))
+            raise ValueError("edge %s is not a subset of [%d]" % (excerpt(points_of(mask)), d))
         if b < 0:
             raise ValueError("edge bounds must be nonnegative")
         pairs.append((mask, b))
@@ -103,8 +122,30 @@ def induce(raw, d, n):
 
 
 def with_edge(hg, mask, bound):
-    """The hypergraph induced by adding one edge (bound < 0 is infeasible)."""
-    return LabeledHypergraph(hg.d, hg.n, _normalize_edges(hg.edges + ((mask, bound),), hg.n))
+    """The hypergraph induced by adding one edge (bound < 0 is infeasible).
+
+    Equal to normalizing ``hg.edges`` plus the edge, in one pass: the edges
+    of ``hg`` are normalized already, so only the edge's own mask and the
+    same-bound edges nested with it can change.
+    """
+    if bound >= hg.n or mask.bit_count() <= bound:
+        return hg
+    kept = []
+    covered = False
+    for e, b in hg.edges:
+        if e == mask:
+            if b <= bound:
+                return hg
+            continue  # the new bound replaces the old one
+        if b == bound:
+            if e & ~mask == 0:
+                continue  # nested in the new edge
+            if mask & ~e == 0:
+                covered = True  # the new edge is nested in this one
+        kept.append((e, b))
+    if not covered:
+        kept.insert(bisect(kept, _edge_key((mask, bound)), key=_edge_key), (mask, bound))
+    return LabeledHypergraph(hg.d, hg.n, tuple(kept))
 
 
 def delta_of_matroid(m):
@@ -237,15 +278,26 @@ def matroid_from_hypergraph(hg, validate=False):
 def _matroid_from_hypergraph_unchecked(hg):
     """The matroid of ``hg``'s edge-induced circuits, for a caller that knows
     the conditions hold: it is the maximal matroid below the edges, and the
-    edges are kept as its presentation."""
-    raw = []
-    for e, b in hg.edges:
-        pts = points_of(e)
-        for combo in combinations(pts, b + 1):
-            raw.append(mask_of(combo))
-    ground = points_of(full_mask(hg.d))
-    if hg.d >= hg.n + 1:
-        for combo in combinations(ground, hg.n + 1):
-            raw.append(mask_of(combo))
-    canon = _normalize_circuit_masks(raw)
-    return _presented(hg.d, _greedy_rank(hg.d, canon), canon, hg.edges)
+    edges are kept as its presentation.
+
+    A candidate S, a (b+1)-subset of an edge (e, b) or an (n+1)-subset of
+    [d], is a circuit unless it holds a smaller candidate: a (c+1)-subset of
+    some edge (e, c) with c + 1 < |S|, i.e. |S & e| > c.  No (n+1)-subset
+    is smaller than a candidate, since every bound is below n.
+    """
+    edges = hg.edges
+    cands = set(masks_of_size(hg.d, hg.n + 1))
+    for e, b in edges:
+        cands.update(submasks_of_size(e, b + 1))
+
+    def is_circuit(s):
+        k = s.bit_count()
+        for e, c in edges:  # bounds ascend, so no later edge is smaller
+            if c + 1 >= k:
+                return True
+            if (s & e).bit_count() > c:
+                return False
+        return True
+
+    canon = tuple(sorted(filter(is_circuit, cands), key=canon_key))
+    return _presented(hg.d, _greedy_rank(hg.d, canon), canon, edges)

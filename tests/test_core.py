@@ -27,7 +27,7 @@ from matdeg import (
     truncation,
     uniform_matroid,
 )
-from matdeg.bitsets import mask_of
+from matdeg.bitsets import MAX_GROUND, canon_key, mask_of, points_of
 from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, _presented, check_circuit_axioms
 
 from oracles import (
@@ -37,6 +37,30 @@ from oracles import (
     brute_lift,
     brute_rank,
 )
+
+
+def test_canon_key_order():
+    # the int key orders subsets by (size, point tuple): on every subset of
+    # [10], and on seeded masks of [64] that use the top bit
+    def reference(mask):
+        return (mask.bit_count(), points_of(mask))
+
+    masks = list(range(1 << 10))
+    assert sorted(masks, key=canon_key) == sorted(masks, key=reference)
+    rng = random.Random(5)
+    top = 1 << (MAX_GROUND - 1)
+    masks = [rng.getrandbits(MAX_GROUND) & rng.getrandbits(MAX_GROUND) for _ in range(2000)]
+    masks += [m | top for m in masks] + [top, top | 1, (top << 1) - 1]
+    assert sorted(masks, key=canon_key) == sorted(masks, key=reference)
+
+
+def test_ground_set_limit():
+    # 64 points is the most the int subset key orders; the search runs there
+    with pytest.raises(ValueError):
+        uniform_matroid(1, MAX_GROUND + 1)
+    line = uniform_matroid(1, MAX_GROUND)
+    loops = {designate_loop(line, p) for p in range(1, MAX_GROUND + 1)}
+    assert set(md.min_above(line).maximal) == loops
 
 
 def test_uniform_construction():

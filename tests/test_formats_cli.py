@@ -121,6 +121,8 @@ def test_cli_ground_set_limit_is_input_error(tmp_path):
         ("isomorphic", str(path), str(path)),
         ("automorphisms", str(path)),
         ("decompose", str(path)),
+        ("min-above", "catalog:u1_70"),
+        ("steiner-experiment", "--q", "11", "--kind", "projective"),
     ):
         code, _ = run_cli(*argv)
         assert code == 2, argv
@@ -215,6 +217,28 @@ def test_cli_deeply_nested_json_is_input_error(tmp_path, monkeypatch):
     path.write_text(deep)
     code, out = run_cli("decompose", "catalog:qs", "--hints", str(path))
     assert code == 2 and out == ""
+
+
+def test_cli_error_quotes_a_bounded_excerpt(tmp_path, monkeypatch, capsys):
+    # an oversized value in the input is quoted in part, never whole
+    long_text = "x" * 100_000
+    long_set = list(range(1, 100_001))
+    cases = [
+        ("min-above", {"d": long_text, "n": 3, "circuits": []}),
+        ("min-above", {"d": 3, "n": 1, "circuits": [long_set]}),
+        ("reduce", {"d": 4, "n": 3, "edges": [{"set": [1, 2], "type": long_text}]}),
+        ("reduce", {"d": 3, "n": 2, "edges": [{"set": long_set, "type": 1}]}),
+    ]
+    for verb, obj in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out = run_cli(verb, "-")
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and 0 < len(err) < 1024
+    path = tmp_path / "hints.json"
+    path.write_text(json.dumps({"realizable": [long_text]}))
+    code, out = run_cli("decompose", "catalog:qs", "--hints", str(path))
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and 0 < len(err) < 1024
 
 
 def test_cli_matroid_from_file(tmp_path, fano):

@@ -15,8 +15,9 @@ from matdeg import (
     uniform_matroid,
     valuation,
 )
+from matdeg.bitsets import mask_of
 from matdeg.catalog import FANO_LINES
-from matdeg.hypergraph import reduce as reduce_hypergraph
+from matdeg.hypergraph import _normalize_edges, reduce as reduce_hypergraph, with_edge
 
 from oracles import depmask, brute_leq
 
@@ -48,6 +49,30 @@ def test_induce_refuses_bad_input():
         induce([], 65, 3)
     with pytest.raises(ValueError):
         induce([], 4, -1)
+
+
+def test_with_edge_matches_normalization():
+    # one-edge insertion equals normalizing the edges plus the new one, on
+    # seeded random normalized hypergraphs and chains of insertions
+    rng = random.Random(13)
+    for _ in range(400):
+        d = rng.randint(1, 9)
+        n = rng.randint(0, 4)
+        full = (1 << d) - 1
+        hg = induce([(rng.randint(1, full), rng.randint(0, n)) for _ in range(8)], d, n)
+        for _ in range(6):
+            if hg.edges and rng.random() < 0.4:
+                mask = rng.choice(hg.edges)[0]  # an edge already there
+            else:
+                mask = rng.randint(1, full)
+            bound = rng.randint(0, n)
+            expected = _normalize_edges(hg.edges + ((mask, bound),), n)
+            hg = with_edge(hg, mask, bound)
+            assert hg.edges == expected
+    # the mask is there with a larger bound and lies in a same-bound edge:
+    # the old entry goes, and the new edge is not inserted
+    hg = induce([((1, 2, 3, 4, 5), 2), ((1, 2, 3, 4), 3)], 5, 4)
+    assert edge_sets(with_edge(hg, mask_of((1, 2, 3, 4)), 2)) == {((1, 2, 3, 4, 5), 2)}
 
 
 def test_delta_of_matroid(fano):

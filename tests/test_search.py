@@ -19,7 +19,9 @@ from matdeg import (
     stratum_min,
     uniform_matroid,
 )
-from matdeg.bitsets import mask_of
+from matdeg import search
+from matdeg.bitsets import mask_of, masks_of_size, submasks_of_size
+from matdeg.core import _normalize_circuit_masks
 from matdeg.catalog import (
     FANO_LINES,
     FANO_DUAL_PLANES,
@@ -101,6 +103,29 @@ def test_leaf_order_against_bruteforce():
     for a, ma in zip(leaves, matroids):
         for b, mb in zip(leaves, matroids):
             assert _sig_leq(a, b) == brute_force_leq(ma, mb), (a.target, b.target)
+
+
+def test_leaf_circuits_against_raw_subsets(small_matroids, monkeypatch):
+    # every stable leaf the searches on the small matroids reach has as
+    # circuits the minimal members of all (b+1)-subsets of its edges and
+    # all (n+1)-subsets of [d]
+    build = search._matroid_from_hypergraph_unchecked
+    leaves = {}
+
+    def recording(hg):
+        leaves[hg] = build(hg)
+        return leaves[hg]
+
+    monkeypatch.setattr(search, "_matroid_from_hypergraph_unchecked", recording)
+    for ms in small_matroids.values():
+        for m in ms:
+            min_above_general(m)
+    assert len(leaves) > 100
+    for hg, leaf in leaves.items():
+        raw = [s for e, b in hg.edges for s in submasks_of_size(e, b + 1)]
+        raw += masks_of_size(hg.d, hg.n + 1)
+        assert leaf.circuit_masks == _normalize_circuit_masks(raw)
+        assert leaf._presentation == hg.edges
 
 
 def test_min_above_hyp_published_example(small_matroids, fano):
