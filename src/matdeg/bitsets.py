@@ -28,6 +28,19 @@ def mask_of(points):
     return m
 
 
+def mask_within(points, d):
+    """The mask of ``points``, or None when a point lies outside 1..d.
+
+    Each point is checked before it is shifted, so one huge point in an
+    input costs no huge int."""
+    m = 0
+    for p in points:
+        if not 1 <= p <= d:
+            return None
+        m |= 1 << (p - 1)
+    return m
+
+
 def points_of(mask):
     out = []
     while mask:

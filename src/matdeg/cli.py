@@ -44,7 +44,7 @@ def _load_matroid(source):
     if source.startswith("catalog:"):
         try:
             return named_matroid(source.split(":", 1)[1])
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             raise _CliError(str(exc))
     text = _read_text(source)
     try:
@@ -247,7 +247,7 @@ def _cmd_catalog(args):
         return 0
     try:
         m = named_matroid(args.name)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise _CliError(str(exc))
     if args.json:
         _emit(formats.json_dumps(formats.matroid_to_obj(m)))
@@ -257,8 +257,12 @@ def _cmd_catalog(args):
 
 
 def _cmd_steiner(args):
-    from .experiments import steiner_experiment
+    from .experiments import plane_blocks, steiner_experiment
 
+    try:
+        plane_blocks(args.q, args.kind)
+    except ValueError as exc:
+        raise _CliError(str(exc))
     report = steiner_experiment(args.q, args.kind, limits=_limits(args), threads=_threads(args))
     obj = {
         "q": report.q,

@@ -22,6 +22,7 @@ from .bitsets import (
     canon_key,
     full_mask,
     mask_of,
+    mask_within,
     masks_of_size,
     points_of,
 )
@@ -263,11 +264,12 @@ def matroid_from_circuits(d, n=None, circuits=(), validate=False):
     fm = full_mask(d)
     masks = []
     for c in circuits:
-        m = c if isinstance(c, int) else mask_of(c)
+        m = c if isinstance(c, int) else mask_within(c, d)
+        if m is None or m & ~fm:
+            shown = c if m is None or m < 0 else points_of(m)
+            raise ValueError("circuit %s is not a subset of [%d]" % (excerpt(shown), d))
         if m == 0:
             raise ValueError("the empty set cannot be a circuit")
-        if m & ~fm:
-            raise ValueError("circuit %s is not a subset of [%d]" % (excerpt(points_of(m)), d))
         masks.append(m)
     canon = _normalize_circuit_masks(masks)
     rank = _greedy_rank(d, canon)
@@ -602,8 +604,12 @@ def simplify(m):
 
     Returns (simple matroid on 1..q, QuotientMap): the map joins the
     2-circuits, and the circuits over the class minima pass through it.
-    Lifting through the map restores the original matroid exactly.
+    Lifting through the map restores the original matroid exactly.  A
+    matroid that is already simple comes back itself, with the identity
+    map, so the caches it has computed carry over.
     """
+    if m.is_simple():
+        return m, QuotientMap.identity(m.d)
     pairs = [c for c in m.circuit_masks if c.bit_count() == 2]
     qmap = QuotientMap.collapsing(m.d, m.loops_mask, pairs)
     minima = mask_of(pts[0] for pts in qmap.classes)

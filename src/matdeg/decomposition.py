@@ -15,12 +15,16 @@ variety coverage) enter through hint tables keyed by canonical form.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 from .core import (
     Matroid,
+    deletion,
     is_nilpotent,
     is_paving,
     is_inductively_connected,
+    matroid_from_circuits,
     relabel,
     restriction,
     simplify,
@@ -95,8 +99,15 @@ def default_hints():
     """Realizability facts shipped with the catalog (complex coefficients).
 
     The Fano plane is flagged non-realizable, matching its published
-    decomposition, in which no Fano component appears.
+    decomposition, in which no Fano component appears.  The table is built
+    once per process; each call returns a fresh ``Hints``, so mutating one
+    leaves the next call unchanged.
     """
+    return Hints(realizable=_default_realizable())
+
+
+@lru_cache(maxsize=None)
+def _default_realizable():
     from .catalog import catalog as named
 
     realizable = {}
@@ -106,15 +117,11 @@ def default_hints():
         realizable[_key(named(name))] = False
     # a three-point line plus a free point: the simple core of the
     # line-collapse and point-sum degenerations of the Fano plane
-    from .core import matroid_from_circuits
-
     realizable[_key(matroid_from_circuits(4, None, [(1, 2, 3)]))] = True
     # deleting a point from the Steiner quadruple system leaves a
     # non-realizable matroid (its loop extension is one of the components)
-    from .core import deletion
-
     realizable[_key(deletion(named("steiner348"), (8,))[0])] = False
-    return Hints(realizable=realizable)
+    return MappingProxyType(realizable)  # shared by every call: read-only
 
 
 def paper_hints():
@@ -308,8 +315,9 @@ class _Driver:
         self.stats.merge(report.stats)
         if not report.complete:
             self.complete = False
+        covered = self.hints.covered
         for nxt in report.maximal:
-            if _key(nxt) in self.hints.covered:
+            if covered and _key(nxt) in covered:
                 continue
             out.extend(
                 self.decompose(nxt, depth + 1, rule + ("degeneration:" + _key(m)[:8],))

@@ -9,7 +9,9 @@ scratch and checks it against this prediction.
 
 from dataclasses import dataclass, field
 
-from .core import designate_loop, uniform_matroid
+from .bitsets import MAX_GROUND
+from .core import _GroundSetTooLarge, designate_loop, uniform_matroid
+from .errors import excerpt
 from .catalog import affine_plane_blocks, projective_plane_blocks, steiner_matroid
 from .hypergraph import induce, matroid_from_hypergraph
 from .search import SearchStats, min_above_general
@@ -48,6 +50,28 @@ def steiner_family(d, n, blocks):
     return out
 
 
+def plane_blocks(q, kind):
+    """(d, blocks) of PG(2, q) or AG(2, q).
+
+    The kind, a q below 2 and a plane of more than ``MAX_GROUND`` points are
+    refused before any block is built, so a huge q costs nothing; the
+    catalog refuses a q that is neither prime nor 4.
+    """
+    if kind == "projective":
+        d, build = q * q + q + 1, projective_plane_blocks
+    elif kind == "affine":
+        d, build = q * q, affine_plane_blocks
+    else:
+        raise ValueError("kind must be 'projective' or 'affine'")
+    if q < 2:
+        raise ValueError("a plane needs q >= 2")
+    if d > MAX_GROUND:
+        raise _GroundSetTooLarge(
+            "the plane of order %s has more than %d points" % (excerpt(q), MAX_GROUND)
+        )
+    return build(q)
+
+
 @dataclass
 class ExperimentReport:
     q: int
@@ -66,12 +90,7 @@ class ExperimentReport:
 def steiner_experiment(q, kind, limits=None, threads=1):
     """Compute the plane matroid's maximal degenerations (general path) and
     compare them, as a set, with the four predicted families."""
-    if kind == "projective":
-        d, blocks = projective_plane_blocks(q)
-    elif kind == "affine":
-        d, blocks = affine_plane_blocks(q)
-    else:
-        raise ValueError("kind must be 'projective' or 'affine'")
+    d, blocks = plane_blocks(q, kind)
     n = 3
     m = steiner_matroid(d, blocks, 2, validate=False)
     expected = {x: None for x in steiner_family(d, n, blocks)}

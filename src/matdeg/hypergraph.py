@@ -21,6 +21,7 @@ from .bitsets import (
     canon_key,
     full_mask,
     mask_of,
+    mask_within,
     masks_of_size,
     points_of,
     submasks_of_size,
@@ -110,11 +111,12 @@ def induce(raw, d, n):
         raise ValueError("the ambient rank must be nonnegative")
     pairs = []
     for e, b in raw:
-        mask = e if isinstance(e, int) else mask_of(e)
+        mask = e if isinstance(e, int) else mask_within(e, d)
+        if mask is None or mask & ~full_mask(d):
+            shown = e if mask is None or mask < 0 else points_of(mask)
+            raise ValueError("edge %s is not a subset of [%d]" % (excerpt(shown), d))
         if mask == 0:
             raise ValueError("an edge cannot be empty")
-        if mask & ~full_mask(d):
-            raise ValueError("edge %s is not a subset of [%d]" % (excerpt(points_of(mask)), d))
         if b < 0:
             raise ValueError("edge bounds must be nonnegative")
         pairs.append((mask, b))

@@ -1,6 +1,7 @@
 """Matroid construction, rank machinery and structural predicates."""
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -102,6 +103,22 @@ def test_elimination_check_matches_scan():
         assert ok == expected, m.circuits
         outcomes.add(ok)
     assert outcomes == {True, False}
+
+
+def test_points_checked_before_shifting():
+    # shifted first, a point of 10**9 would build a 125 MB mask and one of
+    # 10**20 would overflow
+    tracemalloc.start()
+    try:
+        for raw in ((1, 10**9), (10**20,), (0, 1), (-1,), -1):  # -1: an int mask
+            with pytest.raises(ValueError, match="not a subset"):
+                matroid_from_circuits(3, None, [raw])
+            with pytest.raises(ValueError, match="not a subset"):
+                md.induce([(raw, 1)], 3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rank_mismatch():
@@ -263,8 +280,9 @@ def test_designate_loop(fano):
 
 def test_simplify_identity(fano):
     simple, qmap = simplify(fano)
-    assert simple == fano
+    assert simple is fano  # its caches carry over
     assert qmap.is_identity()
+    assert qmap == md.QuotientMap.identity(7)
 
 
 def test_identity_lift_returns_its_argument(fano):

@@ -3,7 +3,10 @@
 import matdeg as md
 from matdeg import (
     DecompositionComponent,
+    Hints,
     decompose,
+    default_hints,
+    isomorphism,
     paper_hints,
     proper_submatroids_all_nilpotent,
     redundancy_prune,
@@ -161,3 +164,40 @@ def test_memoized_recursion_consistent(fano):
     r1 = decompose(fano, hints=paper_hints())
     r2 = decompose(fano, hints=paper_hints())
     assert [c.matroid for c in r1.components] == [c.matroid for c in r2.components]
+
+
+def test_covered_table_that_matches_nothing_changes_nothing(fano, qs):
+    # a nonempty covered table makes the driver canonicalize every
+    # degeneration; one that matches nothing must leave every component as
+    # the default hints give it
+    unmatched = default_hints().merged_with(Hints(covered={"0" * 64}))
+    for m in (qs, fano, md.catalog("threelines")):
+        plain = decompose(m)
+        checked = decompose(m, hints=unmatched)
+        assert checked.complete == plain.complete
+        assert checked.components == plain.components
+
+
+def test_default_hints_are_fresh_per_call():
+    first = default_hints()
+    assert default_hints() is not first
+    first.realizable.clear()
+    first.covered.add("0" * 64)
+    second = default_hints()
+    assert second.realizable and not second.covered
+
+
+def test_canonical_searches_feed_answers(qs, monkeypatch):
+    # every canonical search is counted where it runs; the counts are exact,
+    # so they pin that decompose searches only where an answer reads it
+    default_hints()  # the hint table is built once per process
+    calls = []
+    search = isomorphism._min_relabeling
+    monkeypatch.setattr(
+        isomorphism, "_min_relabeling", lambda m: calls.append(m) or search(m)
+    )
+    decompose(md.catalog("threelines"))
+    assert len(calls) == 127
+    del calls[:]
+    decompose(qs)
+    assert len(calls) <= 1

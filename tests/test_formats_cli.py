@@ -110,6 +110,27 @@ def test_cli_zero_node_budget_is_a_budget():
     assert code == 2
 
 
+def test_cli_bad_catalog_and_plane_arguments_are_input_errors(monkeypatch):
+    for argv in (
+        ("min-above", "catalog:u5_3"),  # rank above the ground-set size
+        ("catalog", "show", "u5_3"),
+        ("steiner-experiment", "--q", "6", "--kind", "affine"),  # no field
+        ("steiner-experiment", "--q", "1", "--kind", "projective"),
+        ("steiner-experiment", "--q", str(10**30 + 57), "--kind", "affine"),
+    ):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == "", argv
+
+    # a ValueError from inside the library stays an internal error
+    def broken(*args, **kwargs):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr("matdeg.cli.min_above", broken)
+    monkeypatch.setattr("matdeg.experiments.steiner_experiment", broken)
+    assert run_cli("min-above", "catalog:fano")[0] == 4
+    assert run_cli("steiner-experiment", "--q", "2", "--kind", "projective")[0] == 4
+
+
 def test_cli_ground_set_limit_is_input_error(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("21 20\n1 2 3\n")  # non-uniform, beyond the d <= 20 bitmap
