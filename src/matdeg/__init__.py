@@ -5,14 +5,12 @@ from .core import (
     Matroid,
     QuotientMap,
     SubspaceTable,
-    bases,
     closure,
     cyclic_flats,
     deletion,
     dependent_hyperplanes,
     designate_loop,
     dual,
-    is_dependent,
     is_inductively_connected,
     is_nilpotent,
     is_paving,
@@ -38,7 +36,6 @@ from .hypergraph import (
 from .weak_order import brute_force_leq, compare, maximal_elements
 from .search import (
     DegenerationReport,
-    SearchLimits,
     SearchStats,
     min_above,
     min_above_general,

@@ -101,16 +101,8 @@ def paving_from_hyperplanes(d, n, hyperplanes, validate=True):
     Circuits are the n-subsets of the hyperplanes plus the minimal
     (n+1)-subsets of the ground set.
     """
-    raw = []
-    for h in hyperplanes:
-        for combo in combinations(sorted(h), n):
-            raw.append(mask_of(combo))
-    raw.extend(masks_of_size(d, n + 1))
-    canon = _normalize_circuit_masks(raw)
-    m = Matroid(d, n, canon)
-    if validate:
-        check_circuit_axioms(m)
-    return m
+    small = [c for h in hyperplanes for c in combinations(sorted(h), n)]
+    return matroid_from_small_circuits(d, n, small, validate)
 
 
 def matroid_from_small_circuits(d, n, circuits, validate=True):
@@ -183,9 +175,21 @@ class _GF:
         return self._inv[a]
 
 
+def _check_plane(q, d):
+    """Refuse a plane order below 2, or one of more than ``MAX_GROUND``
+    points, before any field or block is built, so a huge q costs nothing."""
+    if q < 2:
+        raise ValueError("a plane needs q >= 2")
+    if d > MAX_GROUND:
+        raise _GroundSetTooLarge(
+            "the plane of order %s has more than %d points" % (excerpt(q), MAX_GROUND)
+        )
+
+
 def projective_plane_blocks(q):
     """Points are labels 1..q^2+q+1; blocks are the q+1-point lines of
     PG(2, q)."""
+    _check_plane(q, q * q + q + 1)
     gf = _GF(q)
     pts = []
     for x in range(q):
@@ -216,6 +220,7 @@ def projective_plane_blocks(q):
 
 def affine_plane_blocks(q):
     """Points are labels 1..q^2; blocks are the q-point lines of AG(2, q)."""
+    _check_plane(q, q * q)
     gf = _GF(q)
     pts = sorted((x, y) for x in range(q) for y in range(q))
     label = {p: i + 1 for i, p in enumerate(pts)}

@@ -17,7 +17,7 @@ from .decomposition import decompose, load_hints
 from .errors import MatdegError, excerpt
 from .hypergraph import reduce as reduce_hypergraph
 from .isomorphism import are_isomorphic, automorphisms, group_by_symmetry
-from .search import SearchLimits, min_above
+from .search import min_above
 from .weak_order import compare
 
 USAGE_ERROR = 2
@@ -64,12 +64,11 @@ def _load_hypergraph(source):
 
 
 def _limits(args):
-    """The node budget of --limit-nodes; 0 is a budget, not "no limit"."""
-    if args.limit_nodes is None:
-        return None
-    if args.limit_nodes < 0:
+    """The node budget of --limit-nodes, None for none; 0 is a budget, not
+    "no limit"."""
+    if args.limit_nodes is not None and args.limit_nodes < 0:
         raise _CliError("--limit-nodes must be nonnegative")
-    return SearchLimits(args.limit_nodes)
+    return args.limit_nodes
 
 
 def _threads(args):
@@ -104,12 +103,7 @@ def _cmd_compare(args):
 
 def _cmd_min_above(args):
     m = _load_matroid(args.matroid)
-    method = "auto"
-    if args.rank4:
-        method = "rank4"
-    elif args.general:
-        method = "general"
-    report = min_above(m, method=method, limits=_limits(args), threads=_threads(args))
+    report = min_above(m, max_nodes=_limits(args), threads=_threads(args))
     classes = None
     if args.group_by_symmetry:
         classes = group_by_symmetry(report.maximal, m)
@@ -263,7 +257,7 @@ def _cmd_steiner(args):
         plane_blocks(args.q, args.kind)
     except ValueError as exc:
         raise _CliError(str(exc))
-    report = steiner_experiment(args.q, args.kind, limits=_limits(args), threads=_threads(args))
+    report = steiner_experiment(args.q, args.kind, max_nodes=_limits(args), threads=_threads(args))
     obj = {
         "q": report.q,
         "kind": report.kind,
@@ -307,8 +301,6 @@ def build_parser():
 
     p = sub.add_parser("min-above", help="maximal matroid degenerations")
     p.add_argument("matroid")
-    p.add_argument("--rank4", action="store_true", help="force the rank-4 path")
-    p.add_argument("--general", action="store_true", help="force the general path")
     p.add_argument("--group-by-symmetry", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--limit-nodes", type=int, default=None, metavar="N")

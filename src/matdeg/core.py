@@ -75,12 +75,13 @@ class Matroid:
 
     def __init__(self, d, n, circuit_masks):
         # circuit_masks must already be a canonical minimal family; use
-        # matroid_from_circuits for raw input.
+        # matroid_from_circuits for raw input.  n None takes the rank of
+        # the ground set from the circuits.
         self.d = d
-        self.n = n
         self.circuit_masks = circuit_masks
         self._by_point = _circuits_by_point(d, circuit_masks)
         self._rank_cache = {}
+        self.n = self._rank_mask(full_mask(d)) if n is None else n
         self._closure_cache = {}
         self._cyclic_flats = None
         self._presentation = None
@@ -271,11 +272,9 @@ def matroid_from_circuits(d, n=None, circuits=(), validate=False):
         if m == 0:
             raise ValueError("the empty set cannot be a circuit")
         masks.append(m)
-    canon = _normalize_circuit_masks(masks)
-    rank = _greedy_rank(d, canon)
-    if n is not None and n != rank:
-        raise RankMismatch("declared rank %d but circuits give rank %d" % (n, rank))
-    m = Matroid(d, rank, canon)
+    m = Matroid(d, None, _normalize_circuit_masks(masks))
+    if n is not None and n != m.n:
+        raise RankMismatch("declared rank %d but circuits give rank %d" % (n, m.n))
     if validate:
         check_circuit_axioms(m)
     return m
@@ -291,16 +290,6 @@ def _circuits_by_point(d, circuit_masks):
             buckets[low.bit_length()].append(c)
             rest ^= low
     return tuple(map(tuple, buckets))
-
-
-def _greedy_rank(d, circuit_masks):
-    by_point = _circuits_by_point(d, circuit_masks)
-    indep = 0
-    for p in range(1, d + 1):
-        cand = indep | bit(p)
-        if not any(c & ~cand == 0 for c in by_point[p]):
-            indep = cand
-    return indep.bit_count()
 
 
 def check_circuit_axioms(m):
@@ -341,23 +330,9 @@ def closure(m, subset):
     return frozenset(points_of(m._closure_mask(mask)))
 
 
-def is_dependent(m, subset):
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    return m._is_dependent_mask(mask)
-
-
 def cyclic_flats(m):
     """Flats that are unions of circuits, as (point tuple, rank) pairs."""
     return tuple((points_of(f), r) for f, r in m.cyclic_flats_masks())
-
-
-def bases(m):
-    """All bases, as masks in canonical order."""
-    out = []
-    for mask in masks_of_size(m.d, m.n):
-        if not m._is_dependent_mask(mask):
-            out.append(mask)
-    return tuple(out)
 
 
 def independent_masks(m):
@@ -412,9 +387,8 @@ def dual(m):
     if m.n == 0:
         return Matroid(m.d, m.d, ())
     circuits = [fm & ~h for h in m.flats_of_rank(m.n - 1)]
-    canon = _normalize_circuit_masks(circuits)
-    out = Matroid(m.d, m.d - m.n, canon)
-    assert _greedy_rank(m.d, canon) == m.d - m.n
+    out = Matroid(m.d, None, _normalize_circuit_masks(circuits))
+    assert out.n == m.d - m.n
     return out
 
 
@@ -436,7 +410,7 @@ def designate_loop(m, k):
     pres = m._presentation
     if pres is not None:
         pres = ((b, 0),) + pres
-    return _presented(m.d, _greedy_rank(m.d, canon), canon, pres)
+    return _presented(m.d, None, canon, pres)
 
 
 def relabel(m, perm):

@@ -9,9 +9,7 @@ scratch and checks it against this prediction.
 
 from dataclasses import dataclass, field
 
-from .bitsets import MAX_GROUND
-from .core import _GroundSetTooLarge, designate_loop, uniform_matroid
-from .errors import excerpt
+from .core import designate_loop, uniform_matroid
 from .catalog import affine_plane_blocks, projective_plane_blocks, steiner_matroid
 from .hypergraph import induce, matroid_from_hypergraph
 from .search import SearchStats, min_above_general
@@ -51,25 +49,13 @@ def steiner_family(d, n, blocks):
 
 
 def plane_blocks(q, kind):
-    """(d, blocks) of PG(2, q) or AG(2, q).
-
-    The kind, a q below 2 and a plane of more than ``MAX_GROUND`` points are
-    refused before any block is built, so a huge q costs nothing; the
-    catalog refuses a q that is neither prime nor 4.
-    """
+    """(d, blocks) of PG(2, q) or AG(2, q); the catalog generators refuse a
+    q they cannot build before any block is built."""
     if kind == "projective":
-        d, build = q * q + q + 1, projective_plane_blocks
-    elif kind == "affine":
-        d, build = q * q, affine_plane_blocks
-    else:
-        raise ValueError("kind must be 'projective' or 'affine'")
-    if q < 2:
-        raise ValueError("a plane needs q >= 2")
-    if d > MAX_GROUND:
-        raise _GroundSetTooLarge(
-            "the plane of order %s has more than %d points" % (excerpt(q), MAX_GROUND)
-        )
-    return build(q)
+        return projective_plane_blocks(q)
+    if kind == "affine":
+        return affine_plane_blocks(q)
+    raise ValueError("kind must be 'projective' or 'affine'")
 
 
 @dataclass
@@ -87,14 +73,14 @@ class ExperimentReport:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def steiner_experiment(q, kind, limits=None, threads=1):
+def steiner_experiment(q, kind, max_nodes=None, threads=1):
     """Compute the plane matroid's maximal degenerations (general path) and
     compare them, as a set, with the four predicted families."""
     d, blocks = plane_blocks(q, kind)
     n = 3
     m = steiner_matroid(d, blocks, 2, validate=False)
     expected = {x: None for x in steiner_family(d, n, blocks)}
-    report = min_above_general(m, limits=limits, threads=threads)
+    report = min_above_general(m, max_nodes, threads)
     computed = set(report.maximal)
     missing = tuple(x for x in expected if x not in computed)
     extra = tuple(sorted((x for x in computed if x not in expected), key=lambda t: t.sort_key()))

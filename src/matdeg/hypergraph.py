@@ -26,12 +26,7 @@ from .bitsets import (
     points_of,
     submasks_of_size,
 )
-from .core import (
-    QuotientMap,
-    _greedy_rank,
-    _presented,
-    check_circuit_axioms,
-)
+from .core import QuotientMap, _presented
 from .errors import ConditionsFailed, excerpt
 
 
@@ -244,20 +239,13 @@ def _scan_rank4(hg, v):
     return None
 
 
-def check_matroid_conditions(hg, rank4=False):
+def check_matroid_conditions(hg):
     """Pairwise conditions under which the edge-induced circuits of the
-    hypergraph form a matroid.
-
-    General mode: bound1 + bound2 >= v(intersection) + v(union) for every
-    pair of distinct edges.  Rank-4 mode is the sharper test for reduced
-    hypergraphs (bounds 2 and 3 only): no edge pair breaks one of the four
-    conditions of ``_scan_rank4``.
+    hypergraph form a matroid: bound1 + bound2 >= v(intersection) +
+    v(union) for every pair of distinct edges.  (For reduced rank-4
+    hypergraphs, ``_scan_rank4(hg, 4) is None`` is the sharper test.)
     """
     edges = hg.edges
-    if rank4:
-        if any(b not in (2, 3) for _, b in edges):
-            raise ValueError("rank-4 conditions apply to reduced hypergraphs only")
-        return _scan_rank4(hg, 4) is None
     for i, (e1, b1) in enumerate(edges):
         for e2, b2 in edges[i + 1 :]:
             if valuation(hg, e1 & e2) + valuation(hg, e1 | e2) > b1 + b2:
@@ -265,16 +253,13 @@ def check_matroid_conditions(hg, rank4=False):
     return True
 
 
-def matroid_from_hypergraph(hg, validate=False):
+def matroid_from_hypergraph(hg):
     """The unique maximal matroid below a hypergraph meeting the pairwise
     conditions: circuits are the inclusion-minimal (bound+1)-subsets of the
     edges together with all (n+1)-subsets of the ground set."""
     if not check_matroid_conditions(hg):
         raise ConditionsFailed("pairwise rank-bound conditions fail")
-    m = _matroid_from_hypergraph_unchecked(hg)
-    if validate:
-        check_circuit_axioms(m)
-    return m
+    return _matroid_from_hypergraph_unchecked(hg)
 
 
 def _matroid_from_hypergraph_unchecked(hg):
@@ -302,4 +287,4 @@ def _matroid_from_hypergraph_unchecked(hg):
         return True
 
     canon = tuple(sorted(filter(is_circuit, cands), key=canon_key))
-    return _presented(hg.d, _greedy_rank(hg.d, canon), canon, edges)
+    return _presented(hg.d, None, canon, edges)

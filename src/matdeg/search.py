@@ -74,15 +74,6 @@ class SearchStats:
         }
 
 
-class SearchLimits:
-    """Optional budget: maximum hypergraph expansions per search root."""
-
-    __slots__ = ("max_nodes",)
-
-    def __init__(self, max_nodes=None):
-        self.max_nodes = max_nodes
-
-
 class DegenerationReport:
     """Result of a min-above computation.
 
@@ -250,7 +241,7 @@ class _RootPrune:
 # -- the engine ---------------------------------------------------------------
 
 
-def _expand(root, qmap, scan, limits, prune, stats, memo):
+def _expand(root, qmap, scan, max_nodes, prune, stats, memo):
     """Depth-first expansion of one root hypergraph on the quotient ground
     set of ``qmap``, branching by the rule ``scan``.
 
@@ -262,9 +253,9 @@ def _expand(root, qmap, scan, limits, prune, stats, memo):
     dict from stable hypergraph to matroid, does not hold it yet.  A single
     live branch is applied in place.  ``prune`` drops split branches whose
     matroids another root covers.
-    Raises BudgetExceeded when the node budget in ``limits`` runs out.
+    Raises BudgetExceeded after ``max_nodes`` expansions (None for no
+    budget).
     """
-    max_nodes = limits.max_nodes if limits is not None else None
     stack = [(root, qmap)]
     visited = {(root, qmap)}
     found = {}
@@ -319,9 +310,9 @@ def _expand(root, qmap, scan, limits, prune, stats, memo):
     return found, low
 
 
-def _maximal_below(root, qmap, scan, limits, stats, memo):
+def _maximal_below(root, qmap, scan, max_nodes, stats, memo):
     """Maximal matroids of one root expansion, low-rank leaves included."""
-    found, low = _expand(root, qmap, scan, limits, None, stats, memo)
+    found, low = _expand(root, qmap, scan, max_nodes, None, stats, memo)
     for leaf_map, leaves in low.items():
         for leaf in leaves:
             m = _low_rank_matroid(leaf_map, leaf)
@@ -363,12 +354,10 @@ def _run_roots(jobs, threads, stats, memo):
 # -- general rank -------------------------------------------------------------
 
 
-def min_above_hyp(root, limits=None, stats=None):
+def min_above_hyp(root):
     """Maximal matroids (of rank at most the ambient n) below a hypergraph."""
-    if stats is None:
-        stats = SearchStats()
     qmap = QuotientMap.identity(root.d)
-    return _maximal_below(root, qmap, _scan_general, limits, stats, {})
+    return _maximal_below(root, qmap, _scan_general, None, SearchStats(), {})
 
 
 def _general_roots(m):
@@ -383,7 +372,7 @@ def _general_roots(m):
     return roots
 
 
-def min_above_general(m, limits=None, threads=1):
+def min_above_general(m, max_nodes=None, threads=1):
     """Maximal matroid degenerations of a matroid, any rank.
 
     Search roots are independent and run through the root driver, serially
@@ -401,7 +390,7 @@ def min_above_general(m, limits=None, threads=1):
             stats.emitted += 1
     qmap = QuotientMap.identity(m.d)
     jobs = [
-        (_expand, (root, qmap, _scan_general, limits, prune))
+        (_expand, (root, qmap, _scan_general, max_nodes, prune))
         for root, prune in _general_roots(m)
     ]
     leaves = set()
@@ -459,7 +448,7 @@ def _stratum_roots(m, v):
     return roots
 
 
-def stratum_min(m, v, limits=None, stats=None, threads=1, memo=None):
+def stratum_min(m, v, max_nodes=None, stats=None, threads=1, memo=None):
     """Maximal degenerations whose first new circuit appears in size v.
 
     The candidate set runs over independent v-subsets; for v = 2 the forced
@@ -473,7 +462,7 @@ def stratum_min(m, v, limits=None, stats=None, threads=1, memo=None):
         stats = SearchStats()
     scan = partial(_scan_rank4, v=v)
     jobs = [
-        (_maximal_below, (root, qmap, scan, limits))
+        (_maximal_below, (root, qmap, scan, max_nodes))
         for root, qmap in _stratum_roots(m, v)
     ]
     candidates = {}
@@ -486,7 +475,7 @@ def stratum_min(m, v, limits=None, stats=None, threads=1, memo=None):
     return maximal_elements(kept, stats)
 
 
-def min_above_rank4(m, limits=None, threads=1):
+def min_above_rank4(m, max_nodes=None, threads=1):
     """Rank-4 optimized degenerations: per-stratum searches, then a
     cross-stratum filter (each stratum is screened against the higher ones
     only, since lower strata can never dominate higher ones)."""
@@ -499,7 +488,7 @@ def min_above_rank4(m, limits=None, threads=1):
     memo = {}
     for v in (2, 3, 4):
         try:
-            strata[v] = stratum_min(m, v, limits, stats, threads, memo)
+            strata[v] = stratum_min(m, v, max_nodes, stats, threads, memo)
         except BudgetExceeded:
             strata[v] = []
             complete = False
@@ -517,27 +506,24 @@ def min_above_rank4(m, limits=None, threads=1):
     return DegenerationReport(m, maximal, stats, complete)
 
 
-def min_above_hyp_rank4(root, limits=None, stats=None):
+def min_above_hyp_rank4(root):
     """Maximal matroids below a reduced rank-4 hypergraph: the stratified
     searches are run for every v and their union is filtered."""
-    if stats is None:
-        stats = SearchStats()
+    stats = SearchStats()
     qmap = QuotientMap.identity(root.d)
     candidates = {}
     memo = {}
     for v in (2, 3, 4):
         scan = partial(_scan_rank4, v=v)
-        for mm in _maximal_below(root, qmap, scan, limits, stats, memo):
+        for mm in _maximal_below(root, qmap, scan, None, stats, memo):
             candidates[mm._key] = mm
     return maximal_elements(candidates.values(), stats)
 
 
-def min_above(m, method="auto", limits=None, threads=1):
-    """Maximal matroid degenerations; picks the rank-4 path when it applies."""
-    if method == "auto":
-        method = "rank4" if (m.n == 4 and m.is_simple()) else "general"
-    if method == "rank4":
-        return min_above_rank4(m, limits, threads)
-    if method == "general":
-        return min_above_general(m, limits, threads)
-    raise ValueError("unknown method %r" % (method,))
+def min_above(m, max_nodes=None, threads=1):
+    """Maximal matroid degenerations.  The input picks the path: the rank-4
+    path for a simple rank-4 matroid, the general path otherwise; both give
+    the same answer."""
+    if m.n == 4 and m.is_simple():
+        return min_above_rank4(m, max_nodes, threads)
+    return min_above_general(m, max_nodes, threads)

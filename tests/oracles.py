@@ -158,7 +158,7 @@ def brute_isomorphic(a, b):
 def all_matroids_by_antichains(d):
     """Every labeled matroid on [d] by filtering all circuit antichains
     through the elimination axiom (practical for d <= 5)."""
-    from matdeg.core import Matroid, _greedy_rank
+    from matdeg.core import Matroid
 
     subsets = [mask_of(c) for k in range(1, d + 1) for c in combinations(range(1, d + 1), k)]
 
@@ -167,7 +167,7 @@ def all_matroids_by_antichains(d):
     def grow(start, chosen):
         if brute_elimination_ok(chosen):
             canon = tuple(sorted(chosen, key=lambda mm: (mm.bit_count(), points_of(mm))))
-            found.append(Matroid(d, _greedy_rank(d, canon), canon))
+            found.append(Matroid(d, None, canon))
         for i in range(start, len(subsets)):
             s = subsets[i]
             if any(k & ~s == 0 or s & ~k == 0 for k in chosen):

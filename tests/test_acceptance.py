@@ -259,9 +259,9 @@ def run_cli_bytes(*argv):
 def test_criterion_10_determinism(fano):
     commands = [
         ("min-above", "catalog:fano", "--json", "--group-by-symmetry"),
-        ("min-above", "catalog:k33dual", "--rank4", "--json", "--group-by-symmetry"),
-        ("min-above", "catalog:steiner348", "--rank4", "--json"),
-        ("min-above", "catalog:fanodual", "--rank4", "--json"),
+        ("min-above", "catalog:k33dual", "--json", "--group-by-symmetry"),
+        ("min-above", "catalog:steiner348", "--json"),
+        ("min-above", "catalog:fanodual", "--json"),
         ("min-above", "catalog:threepairs", "--json"),
     ]
     for cmd in commands:

@@ -11,7 +11,7 @@ from matdeg.catalog import (
     projective_plane_blocks,
     steiner_matroid,
 )
-from matdeg.core import check_circuit_axioms
+from matdeg.core import _GroundSetTooLarge, check_circuit_axioms
 
 
 @pytest.mark.parametrize(
@@ -45,6 +45,17 @@ def test_plane_block_counts():
         d, blocks = affine_plane_blocks(q)
         assert (d, len(blocks)) == (pts, lines)
         assert all(len(b) == q for b in blocks)
+
+
+def test_plane_generators_refuse_before_building():
+    # the size check comes before the field, whose primality test is linear
+    # in q, and before the loops cubic in q
+    with pytest.raises(_GroundSetTooLarge):
+        projective_plane_blocks(10**12 + 39)
+    with pytest.raises(_GroundSetTooLarge):
+        affine_plane_blocks(10**6)
+    with pytest.raises(ValueError):
+        md.projective_plane(1)
 
 
 def test_steiner_property_enforced():

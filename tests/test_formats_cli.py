@@ -82,7 +82,7 @@ def test_cli_min_above_json():
 
 
 def test_cli_min_above_text_roundtrip():
-    code, out = run_cli("min-above", "catalog:threepairs", "--rank4")
+    code, out = run_cli("min-above", "catalog:threepairs")
     assert code == 0
     body = "\n".join(l for l in out.splitlines() if not l.startswith("count"))
     assert len(formats.loads_matroids(body)) == 10

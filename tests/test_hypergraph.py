@@ -17,7 +17,7 @@ from matdeg import (
 )
 from matdeg.bitsets import mask_of
 from matdeg.catalog import FANO_LINES
-from matdeg.hypergraph import _normalize_edges, reduce as reduce_hypergraph, with_edge
+from matdeg.hypergraph import _normalize_edges, _scan_rank4, reduce as reduce_hypergraph, with_edge
 
 from oracles import depmask, brute_leq
 
@@ -146,7 +146,7 @@ def test_check_matroid_conditions(fano):
     assert check_matroid_conditions(single)
     assert check_matroid_conditions(delta_of_matroid(fano))
     bad = induce([((1, 2, 3, 4), 2), ((3, 4, 5, 6), 2)], 6, 4)
-    assert not check_matroid_conditions(bad, rank4=True)
+    assert _scan_rank4(bad, 4) is not None
     assert not check_matroid_conditions(bad)
 
 

@@ -324,8 +324,22 @@ def test_rank4_agrees_with_general(k33dual, fanodual, vamos):
 
 
 def test_budget_flag(fano):
-    report = min_above_general(fano, limits=md.SearchLimits(max_nodes=2))
+    report = min_above_general(fano, max_nodes=2)
     assert not report.complete
+    # 0 is a budget, not "no limit"
+    assert not min_above_general(fano, max_nodes=0).complete
+
+
+def test_input_picks_the_path(fano, k33dual, vamos):
+    # a simple rank-4 matroid takes the rank-4 path, counters included
+    auto, rank4 = md.min_above(k33dual), min_above_rank4(k33dual)
+    assert list(auto.maximal) == list(rank4.maximal)
+    assert _counters(auto) == _counters(rank4)
+    # anything else, rank 4 but not simple included, takes the general path
+    for m in (fano, designate_loop(vamos, 1)):
+        auto, general = md.min_above(m), min_above_general(m)
+        assert list(auto.maximal) == list(general.maximal)
+        assert _counters(auto) == _counters(general)
 
 
 def test_deterministic_across_threads(fano):
@@ -381,14 +395,14 @@ def test_leaf_memo_lives_for_one_call(monkeypatch, vamos, fanodual):
 
 
 def test_pooled_budgets_match_serial(fano, vamos):
-    serial = min_above_general(fano, md.SearchLimits(2))
-    pooled = min_above_general(fano, md.SearchLimits(2), threads=2)
+    serial = min_above_general(fano, max_nodes=2)
+    pooled = min_above_general(fano, max_nodes=2, threads=2)
     assert not pooled.complete and not serial.complete
     assert list(pooled.maximal) == list(serial.maximal)
     assert _counters(pooled) == _counters(serial)
     for threads in (1, 2):
         with pytest.raises(md.BudgetExceeded):
-            stratum_min(vamos, 2, md.SearchLimits(1), threads=threads)
+            stratum_min(vamos, 2, max_nodes=1, threads=threads)
 
 
 def test_compare_reads_presentation_exactly(monkeypatch, fano, fanodual, k33dual, vamos, qs):
