@@ -17,7 +17,7 @@ from .core import (
     check_circuit_axioms,
     uniform_matroid,
 )
-from .errors import excerpt
+from .errors import MatdegError, excerpt
 
 FANO_LINES = (
     (1, 2, 4),
@@ -140,6 +140,10 @@ def steiner_matroid(d, blocks, strength, validate=True):
 # -- finite fields and planes -------------------------------------------------
 
 
+class _UnsupportedPlane(MatdegError, ValueError):
+    """A plane order or kind the generators cannot build."""
+
+
 class _GF:
     """Arithmetic for GF(q), q in {2, 3, 4} (any prime also works)."""
 
@@ -161,7 +165,7 @@ class _GF:
             self._inv = {1: 1, 2: 3, 3: 2}
         else:
             if any(q % p == 0 for p in range(2, q)):
-                raise ValueError("only prime q or q = 4 are supported")
+                raise _UnsupportedPlane("only prime q or q = 4 are supported")
             self._mul = None
             self._inv = {a: pow(a, q - 2, q) for a in range(1, q)}
 
@@ -179,7 +183,7 @@ def _check_plane(q, d):
     """Refuse a plane order below 2, or one of more than ``MAX_GROUND``
     points, before any field or block is built, so a huge q costs nothing."""
     if q < 2:
-        raise ValueError("a plane needs q >= 2")
+        raise _UnsupportedPlane("a plane needs q >= 2")
     if d > MAX_GROUND:
         raise _GroundSetTooLarge(
             "the plane of order %s has more than %d points" % (excerpt(q), MAX_GROUND)

@@ -251,12 +251,8 @@ def _cmd_catalog(args):
 
 
 def _cmd_steiner(args):
-    from .experiments import plane_blocks, steiner_experiment
+    from .experiments import steiner_experiment
 
-    try:
-        plane_blocks(args.q, args.kind)
-    except ValueError as exc:
-        raise _CliError(str(exc))
     report = steiner_experiment(args.q, args.kind, max_nodes=_limits(args), threads=_threads(args))
     obj = {
         "q": report.q,

@@ -73,10 +73,11 @@ class Matroid:
         "_hash",
     )
 
-    def __init__(self, d, n, circuit_masks):
+    def __init__(self, d, n, circuit_masks, presentation=None):
         # circuit_masks must already be a canonical minimal family; use
         # matroid_from_circuits for raw input.  n None takes the rank of
-        # the ground set from the circuits.
+        # the ground set from the circuits.  ``presentation`` is the
+        # (mask, bound) pairs for ``weak_order.compare``, None for none.
         self.d = d
         self.circuit_masks = circuit_masks
         self._by_point = _circuits_by_point(d, circuit_masks)
@@ -84,7 +85,7 @@ class Matroid:
         self.n = self._rank_mask(full_mask(d)) if n is None else n
         self._closure_cache = {}
         self._cyclic_flats = None
-        self._presentation = None
+        self._presentation = presentation
         self._canon_cache = None
         self._sort_key = None
         self._key = (d, circuit_masks)
@@ -99,7 +100,7 @@ class Matroid:
         return self._hash
 
     def __reduce__(self):
-        return (_presented, (self.d, self.n, self.circuit_masks, self._presentation))
+        return (Matroid, (self.d, self.n, self.circuit_masks, self._presentation))
 
     def __repr__(self):
         return "Matroid(d=%d, n=%d, %d circuits)" % (
@@ -196,23 +197,13 @@ class Matroid:
                     "%d subsets; the limit is %d"
                     % (self.n, self.d, subsets, _CYCLIC_FLAT_SUBSETS_MAX)
                 )
-            flats = {}
-            ground = points_of(full_mask(self.d))
-            for size in range(0, self.n + 1):
-                for combo in combinations(ground, size):
-                    m = mask_of(combo)
-                    if self._rank_mask(m) < size:
-                        continue
-                    cl = self._closure_mask(m)
-                    flats[cl] = self._rank_mask(cl)
-            out = []
-            for f, r in flats.items():
-                if f == 0:
-                    continue
-                if all(self._rank_mask(f & ~b) == r for b in _bits(f)):
-                    out.append((f, r))
-            out.sort(key=lambda fr: (fr[1], canon_key(fr[0])))
-            self._cyclic_flats = tuple(out)
+            # rank by rank, each rank's flats canonically sorted
+            self._cyclic_flats = tuple(
+                (f, r)
+                for r in range(self.n + 1)
+                for f in self.flats_of_rank(r)
+                if f and all(self._rank_mask(f & ~b) == r for b in _bits(f))
+            )
         return self._cyclic_flats
 
     def _presentation_masks(self):
@@ -225,21 +216,20 @@ class Matroid:
         return self._presentation
 
     def flats_of_rank(self, r):
-        """All flats of the given rank, as masks."""
+        """All flats of the given rank, as masks, canonically sorted: the
+        closures of the independent r-subsets.  Every r-subset is tested,
+        so more than ``_CYCLIC_FLAT_SUBSETS_MAX`` of them are refused."""
+        subsets = comb(self.d, r)
+        if subsets > _CYCLIC_FLAT_SUBSETS_MAX:
+            raise _GroundSetTooLarge(
+                "flats of rank %d on %d points would close %d subsets; the "
+                "limit is %d" % (r, self.d, subsets, _CYCLIC_FLAT_SUBSETS_MAX)
+            )
         seen = set()
-        ground = points_of(full_mask(self.d))
-        for combo in combinations(ground, r):
-            m = mask_of(combo)
+        for m in masks_of_size(self.d, r):
             if self._rank_mask(m) == r:
                 seen.add(self._closure_mask(m))
         return sorted(seen, key=canon_key)
-
-
-def _presented(d, n, circuit_masks, presentation):
-    """A matroid with the given presentation (None for none)."""
-    m = Matroid(d, n, circuit_masks)
-    m._presentation = presentation
-    return m
 
 
 def _bits(mask):
@@ -355,7 +345,7 @@ def uniform_matroid(n, d):
         raise ValueError("rank cannot exceed the ground-set size")
     circuits = tuple(masks_of_size(d, n + 1))
     # the maximal matroid of rank <= n below no pairs at all
-    return _presented(d, n, circuits, ())
+    return Matroid(d, n, circuits, ())
 
 
 def restriction(m, subset):
@@ -410,7 +400,7 @@ def designate_loop(m, k):
     pres = m._presentation
     if pres is not None:
         pres = ((b, 0),) + pres
-    return _presented(m.d, None, canon, pres)
+    return Matroid(m.d, None, canon, pres)
 
 
 def relabel(m, perm):
@@ -423,7 +413,7 @@ def relabel(m, perm):
     pres = m._presentation
     if pres is not None:
         pres = tuple((mask_of(get(p) for p in points_of(e)), b) for e, b in pres)
-    return _presented(m.d, m.n, tuple(sorted(circuits, key=canon_key)), pres)
+    return Matroid(m.d, m.n, tuple(sorted(circuits, key=canon_key)), pres)
 
 
 # -- quotients (loops removed, parallel points identified) -------------------
@@ -570,7 +560,7 @@ class QuotientMap:
                     pre |= fiber_masks[t]
                 lifted.append((pre, b))
             pres = tuple(lifted)
-        return _presented(self.d_source, m.n, canon, pres)
+        return Matroid(self.d_source, m.n, canon, pres)
 
 
 def simplify(m):
@@ -633,27 +623,21 @@ def _subspace_data(m, within_mask=None):
     return out
 
 
-def subspace_table(m):
-    data = _subspace_data(m)
-    degrees = {}
-    for pts, _ in data:
-        for p in points_of(pts):
-            degrees[p] = degrees.get(p, 0) + 1
-    subspaces = tuple((points_of(pts), r) for pts, r in data)
-    return SubspaceTable(subspaces, degrees)
-
-
-def _degree_mask(m, within_mask):
-    """Mask of points of degree > 1 in the restriction to within_mask."""
+def _degrees(data):
+    """Per point bit, the number of subspaces of ``data`` (a
+    ``_subspace_data`` result) through that point."""
     counts = {}
-    for pts, _ in _subspace_data(m, within_mask):
+    for pts, _ in data:
         for b in _bits(pts):
             counts[b] = counts.get(b, 0) + 1
-    out = 0
-    for b, c in counts.items():
-        if c > 1:
-            out |= b
-    return out
+    return counts
+
+
+def subspace_table(m):
+    data = _subspace_data(m)
+    degrees = {b.bit_length(): c for b, c in _degrees(data).items()}
+    subspaces = tuple((points_of(pts), r) for pts, r in data)
+    return SubspaceTable(subspaces, degrees)
 
 
 def is_paving(m):
@@ -677,7 +661,8 @@ def is_nilpotent(m):
     """Iterated restriction to the points of degree > 1 reaches the empty set."""
     cur = full_mask(m.d)
     while cur:
-        nxt = _degree_mask(m, cur)
+        # the points of degree > 1 (distinct bits, so the sum is their union)
+        nxt = sum(b for b, c in _degrees(_subspace_data(m, cur)).items() if c > 1)
         if nxt == cur:
             return False
         cur = nxt
@@ -698,19 +683,10 @@ def is_inductively_connected(m):
 
     def extendable(state, p):
         key = state | bit(p)
-        degm = deg_cache.get(key)
-        if degm is None:
-            degm = _degree_mask(m, key)
-            deg_cache[key] = degm
-        if bit(p) & degm:
-            # degree > 1; recompute actual degree
-            count = 0
-            for pts, _ in _subspace_data(m, key):
-                if pts & bit(p):
-                    count += 1
-                    if count > 2:
-                        return False
-        return True
+        degrees = deg_cache.get(key)
+        if degrees is None:
+            degrees = deg_cache[key] = _degrees(_subspace_data(m, key))
+        return degrees.get(bit(p), 0) <= 2
 
     failed = set()
 

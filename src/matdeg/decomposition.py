@@ -190,19 +190,12 @@ def proper_submatroids_all_nilpotent(m, exhaustive=False):
     passing down to smaller restrictions; ``exhaustive`` checks every proper
     subset (validation mode, exponential).
     """
-    if exhaustive:
-        fm = full_mask(m.d)
-        for sub in range(fm):
-            sub_m, _ = restriction(m, sub)
-            if not is_nilpotent(sub_m):
-                return False
-        return True
     fm = full_mask(m.d)
-    for p in range(1, m.d + 1):
-        sub_m, _ = restriction(m, fm & ~(1 << (p - 1)))
-        if not is_nilpotent(sub_m):
-            return False
-    return True
+    if exhaustive:
+        subsets = range(fm)
+    else:
+        subsets = (fm & ~(1 << (p - 1)) for p in range(1, m.d + 1))
+    return all(is_nilpotent(restriction(m, sub)[0]) for sub in subsets)
 
 
 def _max_degree(m):

@@ -10,7 +10,12 @@ scratch and checks it against this prediction.
 from dataclasses import dataclass, field
 
 from .core import designate_loop, uniform_matroid
-from .catalog import affine_plane_blocks, projective_plane_blocks, steiner_matroid
+from .catalog import (
+    _UnsupportedPlane,
+    affine_plane_blocks,
+    projective_plane_blocks,
+    steiner_matroid,
+)
 from .hypergraph import induce, matroid_from_hypergraph
 from .search import SearchStats, min_above_general
 
@@ -50,12 +55,13 @@ def steiner_family(d, n, blocks):
 
 def plane_blocks(q, kind):
     """(d, blocks) of PG(2, q) or AG(2, q); the catalog generators refuse a
-    q they cannot build before any block is built."""
+    q they cannot build before any block is built.  Every refusal is a
+    ``MatdegError`` (and a ``ValueError``)."""
     if kind == "projective":
         return projective_plane_blocks(q)
     if kind == "affine":
         return affine_plane_blocks(q)
-    raise ValueError("kind must be 'projective' or 'affine'")
+    raise _UnsupportedPlane("kind must be 'projective' or 'affine'")
 
 
 @dataclass

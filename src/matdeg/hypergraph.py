@@ -26,7 +26,7 @@ from .bitsets import (
     points_of,
     submasks_of_size,
 )
-from .core import QuotientMap, _presented
+from .core import Matroid, QuotientMap
 from .errors import ConditionsFailed, excerpt
 
 
@@ -287,4 +287,4 @@ def _matroid_from_hypergraph_unchecked(hg):
         return True
 
     canon = tuple(sorted(filter(is_circuit, cands), key=canon_key))
-    return _presented(hg.d, None, canon, edges)
+    return Matroid(hg.d, None, canon, edges)

@@ -75,7 +75,10 @@ def _refined_colors(m):
             )
             nxt[p] = (colors[p], tuple(around))
         nxt = _intern(nxt)
-        if _partition(nxt) == _partition(colors):
+        # each new color includes the old one, so the new partition refines
+        # the old one, and the two are equal exactly when they have the same
+        # number of classes: a round that splits no class is the fixpoint
+        if len(set(nxt.values())) == len(set(colors.values())):
             return nxt
         colors = nxt
 
@@ -84,13 +87,6 @@ def _intern(raw):
     order = sorted(set(raw.values()))
     index = {sig: i for i, sig in enumerate(order)}
     return {p: index[sig] for p, sig in raw.items()}
-
-
-def _partition(colors):
-    groups = {}
-    for p, c in colors.items():
-        groups.setdefault(c, set()).add(p)
-    return sorted(map(frozenset, groups.values()), key=lambda s: sorted(s))
 
 
 def _color_blocks(m):

@@ -45,7 +45,7 @@ from .hypergraph import (
     valuation,
     with_edge,
 )
-from .weak_order import compare, maximal_elements
+from .weak_order import _insert_maximal, compare, maximal_elements
 
 
 class SearchStats:
@@ -172,18 +172,6 @@ def _sig_leq(a, b):
     return True
 
 
-def _sig_antichain(leaves):
-    """Maximal elements among rank <= 2 leaf maps (cheap label tests)."""
-    order = sorted(leaves, key=lambda leaf: (leaf.target.count(0), leaf.q))
-    kept = []
-    for leaf in order:
-        if any(_sig_leq(leaf, k) for k in kept):
-            continue
-        kept = [k for k in kept if not _sig_leq(k, leaf)]
-        kept.append(leaf)
-    return kept
-
-
 def _low_rank_matroid(qmap, leaf):
     """The matroid of a rank <= 2 leaf on the quotient ground set of
     ``qmap``, lifted to the source."""
@@ -270,10 +258,7 @@ def _expand(root, qmap, scan, max_nodes, prune, stats, memo):
             while True:
                 leaf = _low_rank_leaf(hg)
                 if leaf is not None:
-                    kept = low.setdefault(qmap, [])
-                    if not any(_sig_leq(leaf, k) for k in kept):
-                        kept[:] = [k for k in kept if not _sig_leq(k, leaf)]
-                        kept.append(leaf)
+                    _insert_maximal(low.setdefault(qmap, []), leaf, _sig_leq)
                     break
                 branches = scan(hg)
                 if branches is None:
@@ -403,7 +388,11 @@ def min_above_general(m, max_nodes=None, threads=1):
         candidates.update(found)
         for kept in low.values():
             leaves.update(kept)
-    for leaf in _sig_antichain(leaves):
+    # maximal elements among the pooled leaf maps, by cheap label tests
+    kept = []
+    for leaf in sorted(leaves, key=lambda leaf: (leaf.target.count(0), leaf.q)):
+        _insert_maximal(kept, leaf, _sig_leq)
+    for leaf in kept:
         mm = _low_rank_matroid(qmap, leaf)
         candidates.setdefault(mm._key, mm)
     maximal = maximal_elements(candidates.values(), stats)

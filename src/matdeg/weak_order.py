@@ -63,12 +63,18 @@ def compare(m_prime, m):
     )
 
 
-def maximal_elements(matroids, stats=None):
-    """Weak-order-maximal elements of a list, duplicates collapsed first.
+def _insert_maximal(antichain, cand, leq):
+    """One step of a running antichain under the order ``leq``: drop
+    ``cand`` if it lies below a kept member, else evict the members below
+    it and keep it.  The list is updated in place."""
+    if not any(leq(cand, kept) for kept in antichain):
+        antichain[:] = [kept for kept in antichain if not leq(kept, cand)]
+        antichain.append(cand)
 
-    A single pass keeps a running antichain: each candidate is dropped if it
-    lies below a kept one and evicts any kept ones below it.
-    """
+
+def maximal_elements(matroids, stats=None):
+    """Weak-order-maximal elements of a list, duplicates collapsed first,
+    by one pass of a running antichain."""
     uniq = sorted(set(matroids), key=Matroid.sort_key)
 
     def leq(a, b):
@@ -78,9 +84,5 @@ def maximal_elements(matroids, stats=None):
 
     antichain = []
     for cand in uniq:
-        if any(leq(cand, kept) for kept in antichain):
-            continue
-        antichain = [kept for kept in antichain if not leq(kept, cand)]
-        antichain.append(cand)
-    antichain.sort(key=Matroid.sort_key)
-    return antichain
+        _insert_maximal(antichain, cand, leq)
+    return antichain  # kept in input order, so sorted

@@ -12,6 +12,7 @@ from matdeg.catalog import (
     steiner_matroid,
 )
 from matdeg.core import _GroundSetTooLarge, check_circuit_axioms
+from matdeg.experiments import plane_blocks
 
 
 @pytest.mark.parametrize(
@@ -54,8 +55,15 @@ def test_plane_generators_refuse_before_building():
         projective_plane_blocks(10**12 + 39)
     with pytest.raises(_GroundSetTooLarge):
         affine_plane_blocks(10**6)
-    with pytest.raises(ValueError):
-        md.projective_plane(1)
+    # the refusals are input errors of the library, and still ValueErrors
+    for build in (
+        lambda: md.projective_plane(1),
+        lambda: affine_plane_blocks(6),
+        lambda: plane_blocks(2, "hyperbolic"),
+    ):
+        with pytest.raises(md.MatdegError) as info:
+            build()
+        assert isinstance(info.value, ValueError)
 
 
 def test_steiner_property_enforced():

@@ -29,7 +29,7 @@ from matdeg import (
     uniform_matroid,
 )
 from matdeg.bitsets import MAX_GROUND, canon_key, mask_of, points_of
-from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, _presented, check_circuit_axioms
+from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, _GroundSetTooLarge, check_circuit_axioms
 
 from oracles import (
     brute_closure,
@@ -199,6 +199,22 @@ def test_cyclic_flats_subset_limit():
                 m.cyclic_flats_masks()
 
 
+def test_flats_of_rank_subset_limit():
+    # twelve free points and twelve loops: the dual needs the flats of rank
+    # 11, i.e. closing all 2,496,144 11-subsets of [24]; it is refused
+    # before a single subset is tested
+    m = md.matroid_from_circuits(24, 12, [(p,) for p in range(13, 25)])
+    tested = len(m._rank_cache)
+    with pytest.raises(_GroundSetTooLarge, match="2496144 subsets"):
+        dual(m)
+    with pytest.raises(_GroundSetTooLarge):
+        dependent_hyperplanes(m)
+    assert len(m._rank_cache) == tested
+    # a rank that fits is still enumerated: the 12 free points are the
+    # rank-1 flats, each with the loops
+    assert len(m.flats_of_rank(1)) == 12
+
+
 def test_cyclic_flats_against_brute(small_matroids):
     random.seed(23)
     for m in random.sample(small_matroids[5], 30):
@@ -350,7 +366,7 @@ def test_lift_against_brute_force():
     inputs = list(md.all_matroids(5)) + rng.sample(list(md.all_matroids(6, 6)), 300)
     for m in inputs:
         flats = tuple(fr for fr in m.cyclic_flats_masks() if fr[1] < m.n)
-        for base in (m, _presented(m.d, m.n, m.circuit_masks, flats)):
+        for base in (m, md.Matroid(m.d, m.n, m.circuit_masks, flats)):
             qmap = _random_quotient(rng, m.d)
             lifted = qmap.lift(base)
             circuits, pres = brute_lift(qmap.target, base)

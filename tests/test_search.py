@@ -354,6 +354,25 @@ def _counters(report):
     return out
 
 
+@pytest.mark.parametrize(
+    "name, counters",
+    [
+        ("fano", (137, 25, 552)),
+        ("k33dual", (1552, 841, 13910)),
+        ("vamos", (653, 401, 19804)),
+        ("ag3", (1287, 99, 4800)),
+    ],
+)
+def test_min_above_counters_pinned(name, counters):
+    # the work of a serial search, fixed for every hash seed: a change that
+    # claims to do the same work must leave nodes / emitted / comparisons
+    stats = md.min_above(md.catalog(name)).stats
+    assert (stats.nodes, stats.emitted, stats.comparisons) == counters
+    if name == "ag3":
+        pooled = md.min_above(md.catalog(name), threads=2).stats
+        assert (pooled.nodes, pooled.emitted, pooled.comparisons) == counters
+
+
 def test_serial_and_pooled_search_agree(fano):
     threepairs = md.catalog("threepairs")
     for search, m in ((min_above_rank4, threepairs), (min_above_general, fano)):
