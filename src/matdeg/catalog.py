@@ -2,22 +2,27 @@
 
 Fixtures are built from their point-line / hyperplane descriptions and
 validated once (results are cached).  Finite projective and affine planes
-are generated from field incidence for q in {2, 3, 4}; their blocks double
-as Steiner-system inputs.
+are generated from field incidence for q in {2, 3, 4, 5, 7}; their blocks
+double as Steiner-system inputs.
 """
 
 import re
 from itertools import combinations
 
-from .bitsets import MAX_GROUND, mask_of, masks_of_size
+from .bitsets import MAX_GROUND
 from .core import (
-    Matroid,
+    QuotientMap,
     _GroundSetTooLarge,
-    _normalize_circuit_masks,
     check_circuit_axioms,
+    restriction,
     uniform_matroid,
 )
 from .errors import MatdegError, excerpt
+from .hypergraph import (
+    _matroid_from_hypergraph_unchecked,
+    induce,
+    matroid_from_hypergraph,
+)
 
 FANO_LINES = (
     (1, 2, 4),
@@ -96,22 +101,23 @@ THREE_PAIRS_QUADS = ((1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6))
 
 
 def paving_from_hyperplanes(d, n, hyperplanes, validate=True):
-    """Rank-n paving matroid with the given dependent hyperplanes.
+    """Rank-n paving matroid with the given dependent hyperplanes (point
+    tuples or masks): the maximal rank-n matroid in which each of them has
+    rank <= n - 1.
 
     Circuits are the n-subsets of the hyperplanes plus the minimal
     (n+1)-subsets of the ground set.
     """
-    small = [c for h in hyperplanes for c in combinations(sorted(h), n)]
-    return matroid_from_small_circuits(d, n, small, validate)
+    return _below_bounds(d, n, [(h, n - 1) for h in hyperplanes], validate)
 
 
-def matroid_from_small_circuits(d, n, circuits, validate=True):
-    """Matroid of rank n whose circuits of size <= n are as given; every
-    remaining (n+1)-subset is filled in as a spanning circuit."""
-    raw = [mask_of(c) for c in circuits]
-    raw.extend(masks_of_size(d, n + 1))
-    canon = _normalize_circuit_masks(raw)
-    m = Matroid(d, n, canon)
+def _below_bounds(d, n, bounds, validate=True):
+    """The maximal rank-n matroid on [d] with rank(e) <= b for each bound
+    (e, b), built as a search leaf is, so the bounds stay its presentation.
+    ``validate`` checks the circuit axioms of the result; they fail when
+    the bounds are not the dependent hyperplanes or the small circuits of
+    some matroid."""
+    m = _matroid_from_hypergraph_unchecked(induce(bounds, d, n))
     if validate:
         check_circuit_axioms(m)
     return m
@@ -145,29 +151,20 @@ class _UnsupportedPlane(MatdegError, ValueError):
 
 
 class _GF:
-    """Arithmetic for GF(q), q in {2, 3, 4} (any prime also works)."""
+    """Arithmetic for GF(q), q in {2, 3, 4, 5, 7}: the orders of the planes
+    that fit in ``MAX_GROUND`` points."""
 
     def __init__(self, q):
         self.q = q
         if q == 4:
-            # GF(2)[x]/(x^2+x+1); elements are bit pairs, addition is xor
-            self._mul = [[0] * 4 for _ in range(4)]
-            for a in range(4):
-                for b in range(4):
-                    acc = 0
-                    for i in range(2):
-                        if (b >> i) & 1:
-                            acc ^= a << i
-                    for shift in (3, 2):
-                        if acc >> shift & 1:
-                            acc ^= 0b111 << (shift - 2)
-                    self._mul[a][b] = acc
+            # GF(2)[x]/(x^2+x+1) on bit pairs; addition is xor
+            self._mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
             self._inv = {1: 1, 2: 3, 3: 2}
-        else:
-            if any(q % p == 0 for p in range(2, q)):
-                raise _UnsupportedPlane("only prime q or q = 4 are supported")
+        elif q in (2, 3, 5, 7):
             self._mul = None
             self._inv = {a: pow(a, q - 2, q) for a in range(1, q)}
+        else:
+            raise _UnsupportedPlane("only q in {2, 3, 4, 5, 7} is supported")
 
     def add(self, a, b):
         return a ^ b if self.q == 4 else (a + b) % self.q
@@ -262,10 +259,10 @@ _BUILDERS = {
     "steiner348": lambda: steiner_matroid(8, STEINER348_BLOCKS, 3),
     "fanodual": lambda: paving_from_hyperplanes(7, 4, FANO_DUAL_PLANES),
     "grid33": lambda: paving_from_hyperplanes(9, 3, GRID33_LINES),
-    "k33dual": lambda: matroid_from_small_circuits(
-        9, 4, GRID33_LINES + K33_DUAL_QUADS
+    "k33dual": lambda: _below_bounds(
+        9, 4, [(c, len(c) - 1) for c in GRID33_LINES + K33_DUAL_QUADS]
     ),
-    "threepairs": lambda: matroid_from_small_circuits(6, 4, THREE_PAIRS_QUADS),
+    "threepairs": lambda: _below_bounds(6, 4, [(c, 3) for c in THREE_PAIRS_QUADS]),
     "pg2": lambda: projective_plane(2),
     "pg3": lambda: projective_plane(3),
     "pg4": lambda: projective_plane(4),
@@ -285,9 +282,6 @@ def k33dual_degeneration_reps():
 
     Full families are the orbits of these under the automorphism group.
     """
-    from .core import QuotientMap, restriction
-    from .hypergraph import induce, matroid_from_hypergraph
-
     k = catalog("k33dual")
     sub_square, _ = restriction(k, (1, 2, 3, 4, 5, 7))
     fused_square = QuotientMap(9, (1, 2, 3, 4, 5, 5, 6, 5, 5)).lift(sub_square)

@@ -25,8 +25,9 @@ BUDGET_ERROR = 3
 INTERNAL_ERROR = 4
 
 
-class _CliError(Exception):
-    pass
+class _CliError(MatdegError):
+    """An input error found by the front end; like every package error, it
+    exits 2."""
 
 
 def _read_text(source):
@@ -40,12 +41,18 @@ def _read_text(source):
         raise _CliError("cannot read %s: %s" % (source, exc))
 
 
+def _catalog_entry(name):
+    """The catalog matroid ``name``; an unknown or refused name is an input
+    error."""
+    try:
+        return named_matroid(name)
+    except (KeyError, ValueError) as exc:
+        raise _CliError(str(exc))
+
+
 def _load_matroid(source):
     if source.startswith("catalog:"):
-        try:
-            return named_matroid(source.split(":", 1)[1])
-        except (KeyError, ValueError) as exc:
-            raise _CliError(str(exc))
+        return _catalog_entry(source.split(":", 1)[1])
     text = _read_text(source)
     try:
         stripped = text.lstrip()
@@ -239,10 +246,7 @@ def _cmd_catalog(args):
         else:
             _emit("\n".join(names) + "\n")
         return 0
-    try:
-        m = named_matroid(args.name)
-    except (KeyError, ValueError) as exc:
-        raise _CliError(str(exc))
+    m = _catalog_entry(args.name)
     if args.json:
         _emit(formats.json_dumps(formats.matroid_to_obj(m)))
     else:
@@ -358,9 +362,6 @@ def main(argv=None):
         return USAGE_ERROR
     try:
         return args.func(args)
-    except _CliError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return USAGE_ERROR
     except MatdegError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_ERROR

@@ -3,11 +3,12 @@
 A matroid is immutable once built: the ground-set size ``d``, the rank ``n``
 and the canonical circuit list determine everything else.  Rank queries go
 through a greedy independence oracle (correct by the exchange axiom) with a
-per-instance cache; heavier derived data (cyclic flats, subspace tables) is
-computed lazily and cached as well, so values can be shared freely between
-threads once constructed.
+per-instance cache; the cyclic flats and the canonical form are computed
+lazily and cached as well, so values can be shared freely between threads
+once constructed.
 
-A matroid built by the degeneration search also carries a *presentation*,
+A matroid built as the maximal one below rank bounds (a search leaf, a
+catalog entry, a paving or Steiner matroid) also carries a *presentation*,
 the (mask, bound) pairs that ``weak_order.compare`` reads; the constructors
 that keep one are listed there.  Every other matroid is presented by its
 cyclic flats.
@@ -64,7 +65,6 @@ class Matroid:
         "circuit_masks",
         "_by_point",
         "_rank_cache",
-        "_closure_cache",
         "_cyclic_flats",
         "_presentation",
         "_canon_cache",
@@ -83,7 +83,6 @@ class Matroid:
         self._by_point = _circuits_by_point(d, circuit_masks)
         self._rank_cache = {}
         self.n = self._rank_mask(full_mask(d)) if n is None else n
-        self._closure_cache = {}
         self._cyclic_flats = None
         self._presentation = presentation
         self._canon_cache = None
@@ -153,9 +152,6 @@ class Matroid:
         return False
 
     def _closure_mask(self, mask):
-        cached = self._closure_cache.get(mask)
-        if cached is not None:
-            return cached
         r = self._rank_mask(mask)
         out = mask
         rest = full_mask(self.d) & ~mask
@@ -164,7 +160,6 @@ class Matroid:
             rest ^= low
             if self._rank_mask(mask | low) == r:
                 out |= low
-        self._closure_cache[mask] = out
         return out
 
     @property
@@ -404,15 +399,11 @@ def designate_loop(m, k):
 
 
 def relabel(m, perm):
-    """Apply a permutation of [d]; perm maps old point -> new point."""
-    if isinstance(perm, dict):
-        get = perm.__getitem__
-    else:
-        get = lambda p: perm[p - 1]
-    circuits = [mask_of(get(p) for p in points_of(c)) for c in m.circuit_masks]
+    """Apply a permutation of [d]; perm[p - 1] is the new label of point p."""
+    circuits = [mask_of(perm[p - 1] for p in points_of(c)) for c in m.circuit_masks]
     pres = m._presentation
     if pres is not None:
-        pres = tuple((mask_of(get(p) for p in points_of(e)), b) for e, b in pres)
+        pres = tuple((mask_of(perm[p - 1] for p in points_of(e)), b) for e, b in pres)
     return Matroid(m.d, m.n, tuple(sorted(circuits, key=canon_key)), pres)
 
 

@@ -263,8 +263,10 @@ class _Driver:
     def _component(self, m, rule, exact):
         key = _key(m)
         realizable = self.realizability(key, m)
-        simple, _ = simplify(m)
-        connected, _ = is_inductively_connected(simple)
+        # m is simple: decompose_simple's input, or the U(n - 1, d) of base
+        # case 2, where n >= 3 (a simple matroid of rank <= 2 is nilpotent,
+        # case 1)
+        connected, _ = is_inductively_connected(m)
         status = (
             "irreducible-proven" if (connected and realizable == "yes") else "unknown"
         )

@@ -11,7 +11,7 @@ d <= 7.  This is the reference generator used by the oracle tests.
 from functools import lru_cache
 from itertools import combinations
 
-from .bitsets import bit, mask_of, points_of
+from .bitsets import bit, mask_of
 from .core import Matroid, QuotientMap, dual, uniform_matroid
 from .catalog import paving_from_hyperplanes
 
@@ -58,12 +58,9 @@ def _line_families(q):
 
 @lru_cache(maxsize=None)
 def _simple_rank3(q):
-    out = []
-    for family in _line_families(q):
-        out.append(
-            paving_from_hyperplanes(q, 3, [points_of(f) for f in family], validate=False)
-        )
-    return tuple(out)
+    return tuple(
+        paving_from_hyperplanes(q, 3, family, validate=False) for family in _line_families(q)
+    )
 
 
 def all_matroids(d, max_rank=3):

@@ -265,7 +265,8 @@ def matroid_from_hypergraph(hg):
 def _matroid_from_hypergraph_unchecked(hg):
     """The matroid of ``hg``'s edge-induced circuits, for a caller that knows
     the conditions hold: it is the maximal matroid below the edges, and the
-    edges are kept as its presentation.
+    edges are kept as its presentation.  The search builds its stable
+    leaves with it, and the catalog its paving and small-circuit matroids.
 
     A candidate S, a (b+1)-subset of an edge (e, b) or an (n+1)-subset of
     [d], is a circuit unless it holds a smaller candidate: a (c+1)-subset of

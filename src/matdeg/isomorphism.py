@@ -280,8 +280,9 @@ def _generating_subset(elements, d):
 
 
 def orbit_of(m, group):
-    """All relabelings of a matroid under a group (generators suffice)."""
-    gens = group.generators if isinstance(group, AutomorphismGroup) else tuple(group)
+    """All relabelings of a matroid under an ``AutomorphismGroup``, reached
+    from its generators."""
+    gens = group.generators
     seen = {m}
     queue = [m]
     while queue:
@@ -294,16 +295,14 @@ def orbit_of(m, group):
     return seen
 
 
-def group_by_symmetry(matroids, source_or_group):
-    """Partition a list into orbits under the automorphisms of the source.
+def group_by_symmetry(matroids, source):
+    """Partition a list into orbits under the automorphisms of the source
+    matroid.
 
     Returns a list of (representative, members) pairs, canonically sorted;
     members not related by the group end up in singleton classes.
     """
-    if isinstance(source_or_group, Matroid):
-        group = automorphisms(source_or_group)
-    else:
-        group = source_or_group
+    group = automorphisms(source)
     pending = sorted(set(matroids), key=Matroid.sort_key)
     classes = []
     assigned = set()

@@ -49,7 +49,15 @@ from .weak_order import _insert_maximal, compare, maximal_elements
 
 
 class SearchStats:
-    """Counters for one degeneration computation."""
+    """Counters for one degeneration computation.
+
+    ``nodes`` counts expanded search states and ``comparisons`` weak-order
+    tests.  ``emitted`` counts candidates before the final antichain, and
+    what it includes depends on the path: on the general path the
+    designated loops and the distinct stable leaves of each root, but not
+    the pooled rank <= 2 leaves; on the rank-4 path the distinct stable and
+    rank <= 2 leaves of each root, but not the designated loops.
+    """
 
     __slots__ = ("nodes", "emitted", "comparisons", "wall_time")
 

@@ -8,12 +8,13 @@ N <= M exactly when N.n <= M.n and rank_N(mask) <= bound for every pair.
   in M is the minimum of rank_M(F) + |X \\ F| over the cyclic flats F
   (Bonin and de Mier, "The lattice of cyclic flats of a matroid", 2008),
   so no cyclic flat of larger rank in N means rank_N <= rank_M everywhere.
-- A stable leaf of the degeneration search, or the result of a checked
-  ``matroid_from_hypergraph``, is the maximal matroid of rank <= n below
-  its hypergraph, so the hypergraph's edges are another (the rank test
-  carries n), and they cost nothing to keep.  ``uniform_matroid`` has the
-  empty one, and ``relabel``, ``designate_loop`` (when its argument has
-  one) and ``QuotientMap.lift`` carry theirs over.  A lifted presentation
+- A stable leaf of the degeneration search, the result of a checked
+  ``matroid_from_hypergraph``, and a catalog, paving or Steiner matroid
+  are each the maximal matroid of rank <= n below a hypergraph, so its
+  edges are another (the rank test carries n), and they cost nothing to
+  keep.  ``uniform_matroid`` has the empty one, and ``relabel``,
+  ``designate_loop`` (when its argument has one) and
+  ``QuotientMap.lift`` carry theirs over.  A lifted presentation
   adds (loops, 0) and (fiber, 1) pairs.  It decides the order, but it is
   no rank formula: never read a rank off it.
 

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import matdeg as md
+from matdeg import formats
 from matdeg import GroundSetMismatch, brute_force_leq, compare, maximal_elements, uniform_matroid
 
 from oracles import brute_leq, depmask
@@ -125,18 +126,26 @@ def test_maximal_elements_is_antichain(small_matroids):
 
 
 def _leaves(m):
-    """The search leaves among the degenerations of m (its designated loops
-    have no presentation, since m has none)."""
+    """The degenerations of m that carry a presentation: its search leaves,
+    and its designated loops when m has one."""
     return [x for x in md.min_above(m).maximal if x._presentation is not None]
 
 
+def _parsed(m):
+    """m read back from its JSON form, which carries no presentation."""
+    return formats.matroid_from_obj(formats.matroid_to_obj(m))
+
+
 def _presented_pool(fano):
-    """Matroids on [6] and [7] that carry a presentation: search leaves,
-    their relabelings and designated loops, and lifts of search leaves and
-    of uniform matroids."""
+    """Matroids on [6] and [7] that carry a presentation: catalog entries,
+    search leaves, their relabelings and designated loops, and lifts of
+    search leaves and of uniform matroids.  The sources are parsed, so that
+    they are presented by their cyclic flats."""
     rng = random.Random(53)
-    sources = [m for m in md.all_matroids(6, 6) if m.n >= 2]
+    sources = [_parsed(m) for m in md.all_matroids(6, 6) if m.n >= 2]
+    assert all(m._presentation is None for m in sources)
     pool = [md.uniform_matroid(n, d) for d in (6, 7) for n in range(d + 1)]
+    pool += [md.catalog(name) for name in ("fano", "fanodual", "threelines", "qs", "threepairs")]
     for m in rng.sample(sources, 12) + [fano]:
         pool += _leaves(m)
     for m in list(pool):
@@ -183,7 +192,8 @@ def test_compare_is_false_above_the_rank(fano):
 
 
 def test_pickle_keeps_presentation(fano):
-    for m in md.min_above(fano).maximal + (fano,):
+    parsed = _parsed(fano)
+    assert fano._presentation is not None and parsed._presentation is None
+    for m in md.min_above(fano).maximal + (fano, parsed):
         back = pickle.loads(pickle.dumps(m))
         assert back == m and back._presentation == m._presentation
-    assert fano._presentation is None
