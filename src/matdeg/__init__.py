@@ -4,7 +4,6 @@ circuit-variety decomposition built on them."""
 from .core import (
     Matroid,
     QuotientMap,
-    SubspaceTable,
     closure,
     cyclic_flats,
     deletion,
@@ -19,7 +18,6 @@ from .core import (
     relabel,
     restriction,
     simplify,
-    subspace_table,
     truncation,
     uniform_matroid,
 )

@@ -50,32 +50,44 @@ def _catalog_entry(name):
         raise _CliError(str(exc))
 
 
+def _parse(source, what, parse):
+    """``parse`` applied to the text of ``source``; any failure to parse it
+    is an input error, reported as "cannot <what> <source>"."""
+    text = _read_text(source)
+    try:
+        return parse(text)
+    except (ValueError, KeyError, RecursionError, MatdegError) as exc:
+        raise _CliError("cannot %s %s: %s" % (what, source, exc))
+
+
+def _matroid_from_text(text):
+    """A matroid from JSON or the text format, checked against the circuit
+    axioms."""
+    if text.lstrip().startswith("{"):
+        return formats.matroid_from_obj(json.loads(text), validate=True)
+    return formats.loads_matroid(text, validate=True)
+
+
+def _hints_from_text(text):
+    obj = json.loads(text)
+    if type(obj) is not dict:  # load_hints reads a string as a spec name
+        raise ValueError("hints must be a JSON object")
+    return load_hints(obj)
+
+
 def _load_matroid(source):
     if source.startswith("catalog:"):
         return _catalog_entry(source.split(":", 1)[1])
-    text = _read_text(source)
-    try:
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return formats.matroid_from_obj(json.loads(text), validate=True)
-        return formats.loads_matroid(text, validate=True)
-    except (ValueError, KeyError, RecursionError, MatdegError) as exc:
-        raise _CliError("cannot parse matroid %s: %s" % (source, exc))
+    return _parse(source, "parse matroid", _matroid_from_text)
 
 
-def _load_hypergraph(source):
-    try:
-        return formats.hypergraph_from_obj(json.loads(_read_text(source)))
-    except (ValueError, KeyError, RecursionError) as exc:
-        raise _CliError("cannot parse hypergraph %s: %s" % (source, exc))
-
-
-def _limits(args):
-    """The node budget of --limit-nodes, None for none; 0 is a budget, not
-    "no limit"."""
-    if args.limit_nodes is not None and args.limit_nodes < 0:
-        raise _CliError("--limit-nodes must be nonnegative")
-    return args.limit_nodes
+def _nonnegative(text):
+    """The argparse type of the limit options, which exit 2 on anything but
+    a nonnegative integer; 0 is a limit, not "no limit"."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
 
 
 def _threads(args):
@@ -97,12 +109,12 @@ def _emit(text):
     sys.stdout.write(text)
 
 
-def _cmd_compare(args):
-    a = _load_matroid(args.smaller)
-    b = _load_matroid(args.larger)
-    result = compare(a, b)
+def _cmd_relation(args):
+    """compare and isomorphic: one yes-or-no ``args.relation`` of two
+    matroids, keyed ``args.key`` in JSON."""
+    result = args.relation(_load_matroid(args.first), _load_matroid(args.second))
     if args.json:
-        _emit(formats.json_dumps({"leq": result}))
+        _emit(formats.json_dumps({args.key: result}))
     else:
         _emit("true\n" if result else "false\n")
     return 0
@@ -110,7 +122,7 @@ def _cmd_compare(args):
 
 def _cmd_min_above(args):
     m = _load_matroid(args.matroid)
-    report = min_above(m, max_nodes=_limits(args), threads=_threads(args))
+    report = min_above(m, max_nodes=args.limit_nodes, threads=_threads(args))
     classes = None
     if args.group_by_symmetry:
         classes = group_by_symmetry(report.maximal, m)
@@ -134,14 +146,7 @@ def _cmd_decompose(args):
     if args.hints in (None, "default", "none", "paper"):
         hints = load_hints(args.hints)
     else:
-        try:
-            with open(args.hints) as fh:
-                obj = json.load(fh)
-            if type(obj) is not dict:  # load_hints reads a string as a spec name
-                raise ValueError("hints must be a JSON object")
-            hints = load_hints(obj)
-        except (OSError, ValueError, KeyError, RecursionError) as exc:
-            raise _CliError("cannot load hints %s: %s" % (args.hints, exc))
+        hints = _parse(args.hints, "load hints", _hints_from_text)
     result = decompose(
         m, hints=hints, max_depth=args.max_depth, budget=args.budget, threads=_threads(args)
     )
@@ -174,17 +179,6 @@ def _cmd_decompose(args):
             _emit(formats.dumps_matroid(c.matroid))
             _emit("\n")
     return 0 if result.complete else BUDGET_ERROR
-
-
-def _cmd_isomorphic(args):
-    a = _load_matroid(args.first)
-    b = _load_matroid(args.second)
-    result = are_isomorphic(a, b)
-    if args.json:
-        _emit(formats.json_dumps({"isomorphic": result}))
-    else:
-        _emit("true\n" if result else "false\n")
-    return 0
 
 
 def _perm_cycles(perm):
@@ -222,7 +216,12 @@ def _cmd_automorphisms(args):
 
 
 def _cmd_reduce(args):
-    hg = _load_hypergraph(args.hypergraph)
+    """The output is JSON with or without --json."""
+    hg = _parse(
+        args.hypergraph,
+        "parse hypergraph",
+        lambda text: formats.hypergraph_from_obj(json.loads(text)),
+    )
     try:
         red, qmap = reduce_hypergraph(hg)
     except ValueError as exc:
@@ -231,10 +230,7 @@ def _cmd_reduce(args):
         "hypergraph": formats.hypergraph_to_obj(red),
         "quotient": formats.quotient_to_obj(qmap),
     }
-    if args.json:
-        _emit(formats.json_dumps(obj))
-    else:
-        _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _emit(formats.json_dumps(obj))
     return 0
 
 
@@ -257,7 +253,9 @@ def _cmd_catalog(args):
 def _cmd_steiner(args):
     from .experiments import steiner_experiment
 
-    report = steiner_experiment(args.q, args.kind, max_nodes=_limits(args), threads=_threads(args))
+    report = steiner_experiment(
+        args.q, args.kind, max_nodes=args.limit_nodes, threads=_threads(args)
+    )
     obj = {
         "q": report.q,
         "kind": report.kind,
@@ -293,17 +291,26 @@ def build_parser():
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser("compare", help="decide smaller <= larger in the weak order")
-    p.add_argument("smaller")
-    p.add_argument("larger")
-    add_common(p)
-    p.set_defaults(func=_cmd_compare)
+    def add_relation(verb, about, names, relation, key):
+        p = sub.add_parser(verb, help=about)
+        p.add_argument("first", metavar=names[0])
+        p.add_argument("second", metavar=names[1])
+        add_common(p)
+        p.set_defaults(func=_cmd_relation, relation=relation, key=key)
+
+    add_relation(
+        "compare",
+        "decide smaller <= larger in the weak order",
+        ("smaller", "larger"),
+        compare,
+        "leq",
+    )
 
     p = sub.add_parser("min-above", help="maximal matroid degenerations")
     p.add_argument("matroid")
     p.add_argument("--group-by-symmetry", action="store_true")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--limit-nodes", type=int, default=None, metavar="N")
+    p.add_argument("--limit-nodes", type=_nonnegative, default=None, metavar="N")
     p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_min_above)
@@ -311,17 +318,19 @@ def build_parser():
     p = sub.add_parser("decompose", help="circuit-variety decomposition")
     p.add_argument("matroid")
     p.add_argument("--hints", default=None, help="'paper', 'none' or a JSON file")
-    p.add_argument("--max-depth", type=int, default=8, metavar="K")
-    p.add_argument("--budget", type=int, default=None, metavar="N")
+    p.add_argument("--max-depth", type=_nonnegative, default=8, metavar="K")
+    p.add_argument("--budget", type=_nonnegative, default=None, metavar="N")
     p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("isomorphic", help="matroid isomorphism test")
-    p.add_argument("first")
-    p.add_argument("second")
-    add_common(p)
-    p.set_defaults(func=_cmd_isomorphic)
+    add_relation(
+        "isomorphic",
+        "matroid isomorphism test",
+        ("first", "second"),
+        are_isomorphic,
+        "isomorphic",
+    )
 
     p = sub.add_parser("automorphisms", help="automorphism group")
     p.add_argument("matroid")
@@ -342,7 +351,7 @@ def build_parser():
     p = sub.add_parser("steiner-experiment", help="plane degeneration census")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--kind", choices=["projective", "affine"], required=True)
-    p.add_argument("--limit-nodes", type=int, default=None, metavar="N")
+    p.add_argument("--limit-nodes", type=_nonnegative, default=None, metavar="N")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--stats", action="store_true")
     add_common(p)

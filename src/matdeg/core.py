@@ -320,14 +320,9 @@ def cyclic_flats(m):
     return tuple((points_of(f), r) for f, r in m.cyclic_flats_masks())
 
 
-def independent_masks(m):
-    """All nonempty independent subsets, canonically ordered."""
-    out = []
-    for size in range(1, m.n + 1):
-        for mask in masks_of_size(m.d, size):
-            if not m._is_dependent_mask(mask):
-                out.append(mask)
-    return out
+def independent_masks(m, size):
+    """The independent subsets of one size, as masks in lexicographic order."""
+    return [mask for mask in masks_of_size(m.d, size) if not m._is_dependent_mask(mask)]
 
 
 # -- constructions ----------------------------------------------------------
@@ -579,28 +574,11 @@ def simplify(m):
 # -- subspaces, degrees and the structural predicates ------------------------
 
 
-class SubspaceTable:
-    """Equivalence classes of small circuits under equal closure.
-
-    Each subspace records the points covered by its circuits and the common
-    rank; degrees count how many subspaces pass through each point.
-    """
-
-    __slots__ = ("subspaces", "degrees")
-
-    def __init__(self, subspaces, degrees):
-        self.subspaces = subspaces
-        self.degrees = degrees
-
-    def degree(self, p):
-        return self.degrees.get(p, 0)
-
-    def __repr__(self):
-        return "SubspaceTable(%d subspaces)" % len(self.subspaces)
-
-
 def _subspace_data(m, within_mask=None):
-    """(point-set mask, rank) per subspace of the restriction to within_mask."""
+    """The subspaces of the restriction to within_mask, the one form they
+    take: (point-set mask, rank) pairs, sorted by rank, then canonically.
+    Circuits of size <= the rank are grouped by equal closure; a pair holds
+    the union of one group and the rank of its closure."""
     if within_mask is None:
         within_mask = full_mask(m.d)
     r = m._rank_mask(within_mask)
@@ -622,13 +600,6 @@ def _degrees(data):
         for b in _bits(pts):
             counts[b] = counts.get(b, 0) + 1
     return counts
-
-
-def subspace_table(m):
-    data = _subspace_data(m)
-    degrees = {b.bit_length(): c for b, c in _degrees(data).items()}
-    subspaces = tuple((points_of(pts), r) for pts, r in data)
-    return SubspaceTable(subspaces, degrees)
 
 
 def is_paving(m):
@@ -669,7 +640,6 @@ def is_inductively_connected(m):
     """
     d, n = m.d, m.n
     fm = full_mask(d)
-    all_bases = [mask for mask in masks_of_size(d, n) if not m._is_dependent_mask(mask)]
     deg_cache = {}
 
     def extendable(state, p):
@@ -696,7 +666,7 @@ def is_inductively_connected(m):
 
     if d == 0:
         return True, ()
-    for basis in all_bases:
+    for basis in independent_masks(m, n):
         res = dfs(basis, points_of(basis))
         if res is not None:
             return True, res

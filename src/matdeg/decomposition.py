@@ -20,6 +20,8 @@ from types import MappingProxyType
 
 from .core import (
     Matroid,
+    _degrees,
+    _subspace_data,
     deletion,
     is_nilpotent,
     is_paving,
@@ -28,7 +30,6 @@ from .core import (
     relabel,
     restriction,
     simplify,
-    subspace_table,
     uniform_matroid,
 )
 from .bitsets import full_mask
@@ -199,8 +200,7 @@ def proper_submatroids_all_nilpotent(m, exhaustive=False):
 
 
 def _max_degree(m):
-    table = subspace_table(m)
-    return max(table.degrees.values(), default=0)
+    return max(_degrees(_subspace_data(m)).values(), default=0)
 
 
 def _base_case(m):

@@ -44,19 +44,6 @@ def dumps_matroids(matroids):
     return "\n".join(blocks)
 
 
-def loads_matroids(text, validate=False):
-    out = []
-    block = []
-    for raw in text.splitlines() + [""]:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            block.append(line)
-        elif block:
-            out.append(loads_matroid("\n".join(block), validate=validate))
-            block = []
-    return out
-
-
 def _object(value, what):
     if type(value) is not dict:
         raise ValueError("%s must be a JSON object" % what)

@@ -21,9 +21,9 @@ from .bitsets import bit, points_of
 from .core import (
     Matroid,
     _GroundSetTooLarge,
+    _subspace_data,
     dependent_bitmap,
     relabel,
-    subspace_table,
 )
 
 # Largest number of tying orderings ``_min_relabeling`` may store, about the
@@ -51,17 +51,16 @@ def _refined_colors(m):
     appends the multiset of color tuples seen across circuits through the
     point.
     """
-    table = subspace_table(m)
     sub_ranks = {p: [] for p in range(1, m.d + 1)}
-    for pts, r in table.subspaces:
-        for p in pts:
+    for pts, r in _subspace_data(m):
+        for p in points_of(pts):
             sub_ranks[p].append(r)
     seed = {}
     for p in range(1, m.d + 1):
         sizes = sorted(c.bit_count() for c in m._by_point[p])
         seed[p] = (
             int(bool(bit(p) & m.loops_mask)),
-            table.degree(p),
+            len(sub_ranks[p]),
             tuple(sorted(sub_ranks[p])),
             tuple(sizes),
         )
@@ -256,8 +255,22 @@ def _compose(g, h):
     return tuple(h[g[p - 1] - 1] for p in range(1, len(g) + 1))
 
 
+def _closure(start, step):
+    """The set of everything reached from ``start`` by repeated ``step``, a
+    map from one element to an iterable of its successors."""
+    seen = {start}
+    queue = [start]
+    while queue:
+        for y in step(queue.pop()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def _generating_subset(elements, d):
-    """Greedy generating set: add any element outside the closure so far."""
+    """Greedy generating set: add any element outside the group generated
+    so far."""
     identity = tuple(range(1, d + 1))
     gens = []
     have = {identity}
@@ -265,15 +278,7 @@ def _generating_subset(elements, d):
         if g in have:
             continue
         gens.append(g)
-        have = {identity}
-        queue = [identity]
-        while queue:
-            x = queue.pop()
-            for y in gens:
-                z = _compose(x, y)
-                if z not in have:
-                    have.add(z)
-                    queue.append(z)
+        have = _closure(identity, lambda x: (_compose(x, y) for y in gens))
         if len(have) == len(elements):
             break
     return tuple(gens)
@@ -282,17 +287,7 @@ def _generating_subset(elements, d):
 def orbit_of(m, group):
     """All relabelings of a matroid under an ``AutomorphismGroup``, reached
     from its generators."""
-    gens = group.generators
-    seen = {m}
-    queue = [m]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = relabel(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+    return _closure(m, lambda x: (relabel(x, g) for g in group.generators))
 
 
 def group_by_symmetry(matroids, source):

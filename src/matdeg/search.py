@@ -22,12 +22,13 @@ the stratum and, in the double-point stratum, identifies points.  One root
 driver runs the independent search roots, serially or over worker processes.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
-from .bitsets import full_mask, masks_of_size, points_of
+from .bitsets import full_mask, points_of
 from .core import (
     Matroid,
     QuotientMap,
@@ -329,12 +330,15 @@ def _solve(job, memo=None):
 
 def _run_roots(jobs, threads, stats, memo):
     """Yield each root job's result in job order, merging its counters into
-    ``stats``.  Serial jobs share the leaf memo ``memo``.  With threads > 1
-    the jobs run in worker processes, each on an empty memo; results stream
-    back in order, so the output is identical to a serial run, and node
-    budgets apply per root, so partial results are reproducible too."""
-    parallel = threads > 1 and len(jobs) > 1
-    with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+    ``stats``.  Serial jobs share the leaf memo ``memo``.  The pool starts
+    at most ``threads`` workers, and no more than there are jobs or CPUs;
+    with more than one, the jobs run in worker processes, each on an empty
+    memo.  Results
+    stream back in order, so the output is identical to a serial run, and
+    node budgets apply per root, so partial results are reproducible too."""
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         if parallel:
             results = pool.map(_solve, jobs, chunksize=4)
         else:
@@ -358,11 +362,11 @@ def _general_roots(m):
     dependent.  Size-1 roots have the designated loop matroid as their
     unique maximal element and are handled in closed form."""
     base = delta_of_matroid(m)
-    roots = []
-    for e in independent_masks(m):
-        if e.bit_count() >= 2:
-            roots.append((with_edge(base, e, e.bit_count() - 1), _RootPrune(m, e)))
-    return roots
+    return [
+        (with_edge(base, e, size - 1), _RootPrune(m, e))
+        for size in range(2, m.n + 1)
+        for e in independent_masks(m, size)
+    ]
 
 
 def min_above_general(m, max_nodes=None, threads=1):
@@ -433,9 +437,7 @@ def _require_simple_rank4(m):
 def _stratum_roots(m, v):
     base = delta_of_matroid(m)
     roots = []
-    for x in masks_of_size(m.d, v):
-        if m._is_dependent_mask(x):
-            continue
+    for x in independent_masks(m, v):
         hg = with_edge(base, x, v - 1)
         if v == 2:
             red, qmap = reduce_hypergraph(hg)

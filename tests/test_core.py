@@ -24,12 +24,17 @@ from matdeg import (
     rank_of,
     restriction,
     simplify,
-    subspace_table,
     truncation,
     uniform_matroid,
 )
 from matdeg.bitsets import MAX_GROUND, canon_key, mask_of, points_of
-from matdeg.core import _CYCLIC_FLAT_SUBSETS_MAX, _GroundSetTooLarge, check_circuit_axioms
+from matdeg.core import (
+    _CYCLIC_FLAT_SUBSETS_MAX,
+    _GroundSetTooLarge,
+    _degrees,
+    _subspace_data,
+    check_circuit_axioms,
+)
 
 from oracles import (
     brute_closure,
@@ -376,14 +381,13 @@ def test_lift_against_brute_force():
 
 
 def test_subspace_table(qs):
-    table = subspace_table(qs)
-    assert len(table.subspaces) == 4
-    assert all(table.degree(p) == 2 for p in range(1, 7))
-    three = md.catalog("threelines")
-    t2 = subspace_table(three)
-    assert len(t2.subspaces) == 3
-    assert t2.degree(7) == 3
-    assert subspace_table(uniform_matroid(3, 8)).subspaces == ()
+    data = _subspace_data(qs)
+    assert len(data) == 4
+    assert _degrees(data) == {mask_of([p]): 2 for p in range(1, 7)}
+    three = _subspace_data(md.catalog("threelines"))
+    assert len(three) == 3
+    assert _degrees(three)[mask_of([7])] == 3
+    assert _subspace_data(uniform_matroid(3, 8)) == []
 
 
 def test_paving(vamos, fano):
@@ -425,8 +429,6 @@ def test_inductively_connected_witness_from_published_example():
     ok, witness = is_inductively_connected(m)
     assert ok
     # verify the witness: prefix independent, later points of degree <= 2
-    from matdeg.core import _subspace_data
-
     prefix = mask_of(witness[:4])
     assert rank_of(m, witness[:4]) == 4
     state = prefix

@@ -1,5 +1,6 @@
 """Interchange formats and the command-line front end."""
 
+import hashlib
 import io
 import json
 import os
@@ -43,8 +44,8 @@ def test_matroid_json_roundtrip(vamos):
 
 def test_matroid_list_roundtrip(fano):
     report = md.min_above_general(fano)
-    text = formats.dumps_matroids(report.maximal)
-    assert formats.loads_matroids(text) == list(report.maximal)
+    blocks = formats.dumps_matroids(report.maximal).split("\n\n")
+    assert [formats.loads_matroid(b) for b in blocks] == list(report.maximal)
 
 
 def test_hypergraph_json_roundtrip(fano):
@@ -85,7 +86,7 @@ def test_cli_min_above_text_roundtrip():
     code, out = run_cli("min-above", "catalog:threepairs")
     assert code == 0
     body = "\n".join(l for l in out.splitlines() if not l.startswith("count"))
-    assert len(formats.loads_matroids(body)) == 10
+    assert len([formats.loads_matroid(b) for b in body.split("\n\n")]) == 10
 
 
 def test_cli_budget_exit_code():
@@ -108,6 +109,9 @@ def test_cli_zero_node_budget_is_a_budget():
         "steiner-experiment", "--q", "2", "--kind", "projective", "--limit-nodes", "-1"
     )
     assert code == 2
+    for flag in ("--budget", "--max-depth"):
+        code, out = run_cli("decompose", "catalog:qs", flag, "-1")
+        assert code == 2 and out == "", flag
 
 
 def test_cli_bad_catalog_and_plane_arguments_are_input_errors(monkeypatch):
@@ -384,6 +388,78 @@ def test_cli_runs_as_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 22
+
+
+_TWO_PAIRS = {
+    "d": 5,
+    "n": 3,
+    "edges": [
+        {"set": [1, 2], "type": 1},
+        {"set": [2, 4], "type": 1},
+        {"set": [1, 3, 5], "type": 2},
+    ],
+}
+
+# sha256 of stdout, as text and with --json; "{two_pairs}" is the path of a
+# file holding _TWO_PAIRS
+_PINNED_DIGESTS = [
+    (
+        ("compare", "catalog:u27", "catalog:fano"),
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+        "606a325a0a5c836789b9e964975902988180e05ae1b9906c295f5bf224990db4",
+    ),
+    (
+        ("isomorphic", "catalog:pg2", "catalog:fano"),
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+        "81a5346f2bfe07fcb79fd3ed68352687ce16311007f9ea6b0125ced6f98dde47",
+    ),
+    (
+        ("min-above", "catalog:fano", "--group-by-symmetry"),
+        "2097cb4466857cb555c4463ee9844c80a11a3116e86400c97bd40f890295c342",
+        "6fee5a267fe4a612912de7cbc321e277cca7221639868e92fe62b51a84a2f4d3",
+    ),
+    (
+        ("automorphisms", "catalog:k33dual"),
+        "9c995b38b769c7fbdf82577a4dd841c63d0f6d082d92e8fd0653eb532facf490",
+        "d4a4ee143f7b29e66a3dde49876526ad34c272a9e0bfa9d12e44b6ceb7d5c337",
+    ),
+    (
+        ("reduce", "{two_pairs}"),
+        "38764327b5766126937409d019d2a5b7575da11935453d61433ddcf2c22fa0e9",
+        "38764327b5766126937409d019d2a5b7575da11935453d61433ddcf2c22fa0e9",
+    ),
+    (
+        ("catalog", "list"),
+        "2c28daa88d68556607ec0c0dfb5ea731a6a2beb179407c3a4b34a8feffc84af5",
+        "98619bba5bbdea3f9e0814ea9a9289b07c50e90f1cb471154217b524f2ef0ba8",
+    ),
+    (
+        ("catalog", "show", "fano"),
+        "c4d7e48c7e3963c3894efe6d1237d666674c49a07e786c30662c2096d505f0a2",
+        "1d234e8b6d33f18c869ce2c5fbabbac84abac37c9ed3672097c3a2d4c0355369",
+    ),
+    (
+        ("decompose", "catalog:qs", "--hints", "paper"),
+        "9fb04d0d04db4657463b2c0d7bdf0a488223931b42b02d935bd25e8479858f8e",
+        "1b9ae0ee43280e845b61c6f266c55907d480768f400c51ab2d6eafc3200a169e",
+    ),
+    (
+        ("steiner-experiment", "--q", "2", "--kind", "projective"),
+        "0517cecbc994ec84107b3c6a11866f3f874d7e6d6ce8c8950a79a5cede89e557",
+        "43bea6831497918adbe8c5141776eb62a3376520217b5cc5c23f72a7b15885f2",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text_digest, json_digest", _PINNED_DIGESTS)
+def test_cli_output_digests_pinned(tmp_path, monkeypatch, argv, text_digest, json_digest):
+    monkeypatch.delenv("MATDEG_THREADS", raising=False)
+    two_pairs = tmp_path / "two-pairs.json"
+    two_pairs.write_text(json.dumps(_TWO_PAIRS))
+    argv = [a.format(two_pairs=two_pairs) for a in argv]
+    for extra, digest in (((), text_digest), (("--json",), json_digest)):
+        code, out = run_cli(*argv, *extra)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
 def test_cli_deterministic_output():

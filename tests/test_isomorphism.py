@@ -54,6 +54,36 @@ def test_canonical_hash_and_group_pinned(name):
     assert (group.order, len(group.generators)) == (order, generators)
 
 
+# the exact generator lists, which the greedy pick from the sorted group
+# elements fixes
+PINNED_GENERATORS = {
+    "fano": (
+        (1, 2, 5, 4, 3, 7, 6),
+        (1, 2, 6, 4, 7, 3, 5),
+        (1, 3, 2, 7, 5, 6, 4),
+        (2, 1, 3, 4, 7, 6, 5),
+    ),
+    "k33dual": (
+        (1, 2, 3, 7, 8, 9, 4, 5, 6),
+        (1, 3, 2, 4, 6, 5, 7, 9, 8),
+        (1, 4, 7, 2, 5, 8, 3, 6, 9),
+        (2, 1, 3, 5, 4, 6, 8, 7, 9),
+    ),
+    "steiner348": (
+        (1, 2, 3, 5, 4, 6, 8, 7),
+        (1, 2, 3, 7, 8, 6, 4, 5),
+        (1, 2, 4, 3, 5, 8, 7, 6),
+        (1, 3, 2, 4, 8, 6, 7, 5),
+        (2, 1, 3, 4, 7, 6, 5, 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
+def test_automorphism_generators_pinned(name):
+    assert automorphisms(md.catalog(name)).generators == PINNED_GENERATORS[name]
+
+
 def test_canonical_separates(small_matroids):
     # canonical forms agree exactly on isomorphic pairs: spot-check against
     # a full orbit partition of the d = 4 universe

@@ -20,6 +20,7 @@ from matdeg import (
     uniform_matroid,
 )
 from matdeg import search
+from matdeg.cli import main
 from matdeg.bitsets import mask_of, masks_of_size, submasks_of_size
 from matdeg.core import _normalize_circuit_masks
 from matdeg.catalog import (
@@ -346,6 +347,50 @@ def test_deterministic_across_threads(fano):
     serial = min_above_general(fano, threads=1)
     parallel = min_above_general(fano, threads=4)
     assert list(serial.maximal) == list(parallel.maximal)
+
+
+def _recording_pool(monkeypatch, cpus):
+    """Replace the search's process pool by one that records the worker
+    count it is asked for and maps in this process, starting no worker;
+    ``os.cpu_count`` reports ``cpus``."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+def test_pool_workers_bounded_by_cpus_and_jobs(monkeypatch, capsys, fano):
+    serial = min_above_general(fano)
+    jobs = len(search._general_roots(fano))
+    for cpus, sizes in ((4, [4]), (10**6, [jobs]), (1, []), (None, [])):
+        made = _recording_pool(monkeypatch, cpus)
+        report = min_above_general(fano, threads=100_000)
+        assert made == sizes, cpus
+        assert list(report.maximal) == list(serial.maximal)
+        assert _counters(report) == _counters(serial)
+    # the command line passes its count through the same bound
+    made = _recording_pool(monkeypatch, 2)
+    monkeypatch.setenv("MATDEG_THREADS", "100000")
+    assert main(["min-above", "catalog:fano", "--json"]) == 0
+    from_env = capsys.readouterr().out
+    monkeypatch.delenv("MATDEG_THREADS")
+    assert main(["min-above", "catalog:fano", "--json", "--threads", "100000"]) == 0
+    assert capsys.readouterr().out == from_env
+    assert made == [2, 2]
 
 
 def _counters(report):
