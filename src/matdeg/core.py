@@ -247,13 +247,9 @@ def matroid_from_circuits(d, n=None, circuits=(), validate=False):
     """
     if not 0 <= d <= MAX_GROUND:
         raise ValueError("ground-set size must be between 0 and %d" % MAX_GROUND)
-    fm = full_mask(d)
     masks = []
     for c in circuits:
-        m = c if isinstance(c, int) else mask_within(c, d)
-        if m is None or m & ~fm:
-            shown = c if m is None or m < 0 else points_of(m)
-            raise ValueError("circuit %s is not a subset of [%d]" % (excerpt(shown), d))
+        m = _mask_in(c, d, "circuit")
         if m == 0:
             raise ValueError("the empty set cannot be a circuit")
         masks.append(m)
@@ -263,6 +259,17 @@ def matroid_from_circuits(d, n=None, circuits=(), validate=False):
     if validate:
         check_circuit_axioms(m)
     return m
+
+
+def _mask_in(subset, d, what="subset"):
+    """The mask of ``subset``, a mask or an iterable of points; ValueError
+    when it is not a subset of [d].  Points are range-checked before they
+    are shifted, so one huge point costs no huge int."""
+    mask = subset if isinstance(subset, int) else mask_within(subset, d)
+    if mask is None or mask >> d:
+        shown = subset if mask is None or mask < 0 else points_of(mask)
+        raise ValueError("%s %s is not a subset of [%d]" % (what, excerpt(shown), d))
+    return mask
 
 
 def _circuits_by_point(d, circuit_masks):
@@ -306,13 +313,12 @@ def check_circuit_axioms(m):
 
 def rank_of(m, subset):
     """Rank of a subset: size of its largest independent subset."""
-    return m._rank_mask(subset if isinstance(subset, int) else mask_of(subset))
+    return m._rank_mask(_mask_in(subset, m.d))
 
 
 def closure(m, subset):
     """All points whose addition does not raise the rank of the subset."""
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    return frozenset(points_of(m._closure_mask(mask)))
+    return frozenset(points_of(m._closure_mask(_mask_in(subset, m.d))))
 
 
 def cyclic_flats(m):
@@ -331,6 +337,8 @@ def independent_masks(m, size):
 def uniform_matroid(n, d):
     if d > MAX_GROUND:
         raise _GroundSetTooLarge("ground-set size %d exceeds %d" % (d, MAX_GROUND))
+    if n < 0:
+        raise ValueError("the rank must be nonnegative")
     if n > d:
         raise ValueError("rank cannot exceed the ground-set size")
     circuits = tuple(masks_of_size(d, n + 1))
@@ -344,7 +352,7 @@ def restriction(m, subset):
     Returns (matroid, old_to_new) where old_to_new maps surviving points to
     their new labels.
     """
-    mask = subset if isinstance(subset, int) else mask_of(subset)
+    mask = _mask_in(subset, m.d)
     pts = points_of(mask)
     old_to_new = {p: i + 1 for i, p in enumerate(pts)}
     circuits = []
@@ -357,8 +365,7 @@ def restriction(m, subset):
 
 def deletion(m, subset):
     """Delete a subset of points; same relabeling contract as restriction."""
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    return restriction(m, full_mask(m.d) & ~mask)
+    return restriction(m, full_mask(m.d) & ~_mask_in(subset, m.d))
 
 
 def dual(m):
@@ -395,6 +402,8 @@ def designate_loop(m, k):
 
 def relabel(m, perm):
     """Apply a permutation of [d]; perm[p - 1] is the new label of point p."""
+    if len(perm) != m.d or set(perm) != set(range(1, m.d + 1)):
+        raise ValueError("relabeling needs a permutation of 1..%d" % m.d)
     circuits = [mask_of(perm[p - 1] for p in points_of(c)) for c in m.circuit_masks]
     pres = m._presentation
     if pres is not None:

@@ -33,7 +33,7 @@ from .core import (
     uniform_matroid,
 )
 from .bitsets import full_mask
-from .isomorphism import _is_uniform_family, canonical_form, canonical_permutation
+from .isomorphism import _canonical, _is_uniform_family, canonical_form, canonical_permutation
 from .search import SearchStats, min_above
 from .weak_order import compare
 
@@ -83,13 +83,6 @@ class Hints:
         self.realizable = dict(realizable or {})
         self.exact = set(exact or ())
         self.covered = set(covered or ())
-
-    def merged_with(self, other):
-        out = Hints(self.realizable, self.exact, self.covered)
-        out.realizable.update(other.realizable)
-        out.exact |= other.exact
-        out.covered |= other.covered
-        return out
 
 
 def _key(m):
@@ -142,7 +135,7 @@ def paper_hints():
         _key(designate_loop(k, 1)),
     }
     exact = {_key(named("grid33"))}
-    return default_hints().merged_with(Hints(exact=exact, covered=covered))
+    return Hints(realizable=_default_realizable(), exact=exact, covered=covered)
 
 
 def load_hints(name_or_obj):
@@ -170,15 +163,13 @@ def load_hints(name_or_obj):
         return _key(named(entry))
 
     obj = name_or_obj
-    hints = default_hints()
-    extra = Hints(
-        realizable={to_hash(e): True for e in obj.get("realizable", ())},
-        exact=[to_hash(e) for e in obj.get("exact", ())],
-        covered=[to_hash(e) for e in obj.get("covered", ())],
-    )
-    for e in obj.get("non_realizable", ()):
-        extra.realizable[to_hash(e)] = False
-    return hints.merged_with(extra)
+    realizable = dict(_default_realizable())
+    realizable.update((to_hash(e), True) for e in obj.get("realizable", ()))
+    exact = [to_hash(e) for e in obj.get("exact", ())]
+    covered = [to_hash(e) for e in obj.get("covered", ())]
+    # non_realizable is applied last, so it overrides realizable
+    realizable.update((to_hash(e), False) for e in obj.get("non_realizable", ()))
+    return Hints(realizable=realizable, exact=exact, covered=covered)
 
 
 # -- structural predicates ----------------------------------------------------
@@ -244,11 +235,9 @@ class _Driver:
         key = _key(m)
         hit = self.memo.get(key)
         if hit is not None:
-            perm = canonical_permutation(m)
-            inverse = [0] * m.d
-            for old, new in enumerate(perm, start=1):
-                inverse[new - 1] = old
-            return [replace(c, matroid=relabel(c.matroid, tuple(inverse))) for c in hit]
+            # the memo holds the components in canonical labels
+            ordering = _canonical(m)[2]
+            return [replace(c, matroid=relabel(c.matroid, ordering)) for c in hit]
         if self.budget is not None:
             if self.budget <= 0:
                 self.complete = False

@@ -16,18 +16,9 @@ normalized to insert one edge in a single pass.
 
 from bisect import bisect
 
-from .bitsets import (
-    MAX_GROUND,
-    canon_key,
-    full_mask,
-    mask_of,
-    mask_within,
-    masks_of_size,
-    points_of,
-    submasks_of_size,
-)
-from .core import Matroid, QuotientMap
-from .errors import ConditionsFailed, excerpt
+from .bitsets import MAX_GROUND, canon_key, masks_of_size, points_of, submasks_of_size
+from .core import Matroid, QuotientMap, _mask_in
+from .errors import ConditionsFailed
 
 
 class LabeledHypergraph:
@@ -106,10 +97,7 @@ def induce(raw, d, n):
         raise ValueError("the ambient rank must be nonnegative")
     pairs = []
     for e, b in raw:
-        mask = e if isinstance(e, int) else mask_within(e, d)
-        if mask is None or mask & ~full_mask(d):
-            shown = e if mask is None or mask < 0 else points_of(mask)
-            raise ValueError("edge %s is not a subset of [%d]" % (excerpt(shown), d))
+        mask = _mask_in(e, d, "edge")
         if mask == 0:
             raise ValueError("an edge cannot be empty")
         if b < 0:
@@ -177,7 +165,8 @@ def reduce(hg):
 def valuation(hg, subset):
     """Pointwise upper bound on the rank of the subset in any matroid below
     the hypergraph: min(|A|, n, |A \\ e| + bound over edges)."""
-    mask = subset if isinstance(subset, int) else mask_of(subset)
+    # the search passes masks, so only other input is checked
+    mask = subset if isinstance(subset, int) else _mask_in(subset, hg.d)
     best = min(mask.bit_count(), hg.n)
     for e, b in hg.edges:  # bounds ascend, so later edges cannot win
         if b >= best:
@@ -188,62 +177,11 @@ def valuation(hg, subset):
     return best
 
 
-_IDENTIFY = "identify"  # bound marker: add (mask, 1) and identify its points
-
-
-def _scan_rank4(hg, v):
-    """First conflicting edge pair of a reduced rank-4 hypergraph (bounds 2
-    and 3 only), as the (mask, bound) edges that split it, or None.
-
-    The four conditions, in pair order:
-      (i)   two bound-3 edges meeting in >= 3 points: the intersection must
-            lie inside a bound-2 edge;
-      (ii)  a bound-3 and a bound-2 edge meeting in >= 2 points: the bound-2
-            edge must be contained in the bound-3 edge;
-      (iii) two bound-2 edges meet in at most 1 point;
-      (iv)  two bound-2 edges meeting in 1 point: their union must lie
-            inside a bound-3 edge.
-    The branches depend on the search stratum v; the identify branch only
-    exists for v = 2.
-    """
-    edges = hg.edges
-    twos = [e for e, b in edges if b == 2]
-    threes = [e for e, b in edges if b == 3]
-    for a in range(len(edges)):
-        ea, ba = edges[a]
-        for b in range(a + 1, len(edges)):
-            eb, bb = edges[b]
-            inter = ea & eb
-            k = inter.bit_count()
-            if ba == 3 and bb == 3:
-                if k >= 3 and not any(inter & ~z == 0 for z in twos):
-                    branches = [(ea | eb, 3)]
-                    if v <= 3:
-                        branches.append((inter, 2))
-                    return branches
-            elif ba != bb:  # one bound-2, one bound-3 edge
-                e3, e2 = (ea, eb) if ba == 3 else (eb, ea)
-                if k >= 2 and e2 & ~e3:
-                    branches = [(e3 | e2, 3)]
-                    if v == 2:
-                        branches.append((inter, _IDENTIFY))
-                    return branches
-            else:  # both bound 2
-                if k >= 2:
-                    branches = [(ea | eb, 2)]
-                    if v == 2:
-                        branches.append((inter, _IDENTIFY))
-                    return branches
-                if k == 1 and not any((ea | eb) & ~z == 0 for z in threes):
-                    return [(ea | eb, 3)]
-    return None
-
-
 def check_matroid_conditions(hg):
     """Pairwise conditions under which the edge-induced circuits of the
     hypergraph form a matroid: bound1 + bound2 >= v(intersection) +
     v(union) for every pair of distinct edges.  (For reduced rank-4
-    hypergraphs, ``_scan_rank4(hg, 4) is None`` is the sharper test.)
+    hypergraphs, the search's rank-4 branching rule is the sharper test.)
     """
     edges = hg.edges
     for i, (e1, b1) in enumerate(edges):

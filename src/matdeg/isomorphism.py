@@ -177,27 +177,29 @@ class CanonicalForm:
 
 
 def canonical_form(m):
-    form, _ = _canonical(m)
-    return form
+    return _canonical(m)[0]
 
 
 def canonical_permutation(m):
     """The relabeling old->new realizing the canonical form."""
-    _, perm = _canonical(m)
-    return perm
+    return _canonical(m)[1]
 
 
 def _canonical(m):
+    """(form, perm, ordering), computed once per instance: ``perm`` maps
+    old -> new labels and ``ordering`` is its inverse, position -> source
+    point, so relabeling by ``ordering`` undoes the canonical labeling."""
     if m._canon_cache is None:
         # every tie gives the same form; the least ordering keeps the
         # permutation independent of the order children are tried in
+        ordering = min(_min_relabeling(m))
         perm = [0] * m.d
-        for pos, src in enumerate(min(_min_relabeling(m)), 1):
+        for pos, src in enumerate(ordering, 1):
             perm[src - 1] = pos
         perm = tuple(perm)
         canon = relabel(m, perm)
         form = CanonicalForm((m.d, m.n, canon.circuits))
-        m._canon_cache = (form, perm)
+        m._canon_cache = (form, perm, ordering)
     return m._canon_cache
 
 

@@ -38,9 +38,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, NotRankFour, NotSimple
 from .hypergraph import (
-    _IDENTIFY,
     _matroid_from_hypergraph_unchecked,
-    _scan_rank4,
     delta_of_matroid,
     reduce as reduce_hypergraph,
     valuation,
@@ -107,8 +105,6 @@ class DegenerationReport:
 #
 # A rule maps a hypergraph to None when no rank-bound conflict is left, or
 # else to the (mask, bound) edges whose addition splits the first conflict.
-# The rank-4 rule, ``hypergraph._scan_rank4``, is also the rank-4 matroid
-# condition test and lives beside it.
 
 
 def _scan_general(hg):
@@ -149,6 +145,57 @@ def _scan_general(hg):
             if s > 0:
                 half = -(-s // 2)  # ceil
                 return [(union, vu - half), (inter, vi - half)]
+    return None
+
+
+_IDENTIFY = "identify"  # bound marker: add (mask, 1) and identify its points
+
+
+def _scan_rank4(hg, v):
+    """First conflicting edge pair of a reduced rank-4 hypergraph (bounds 2
+    and 3 only), as the (mask, bound) edges that split it, or None.
+
+    The four conditions, in pair order:
+      (i)   two bound-3 edges meeting in >= 3 points: the intersection must
+            lie inside a bound-2 edge;
+      (ii)  a bound-3 and a bound-2 edge meeting in >= 2 points: the bound-2
+            edge must be contained in the bound-3 edge;
+      (iii) two bound-2 edges meet in at most 1 point;
+      (iv)  two bound-2 edges meeting in 1 point: their union must lie
+            inside a bound-3 edge.
+    The branches depend on the search stratum v; the identify branch only
+    exists for v = 2.
+    """
+    edges = hg.edges
+    twos = [e for e, b in edges if b == 2]
+    threes = [e for e, b in edges if b == 3]
+    for a in range(len(edges)):
+        ea, ba = edges[a]
+        for b in range(a + 1, len(edges)):
+            eb, bb = edges[b]
+            inter = ea & eb
+            k = inter.bit_count()
+            if ba == 3 and bb == 3:
+                if k >= 3 and not any(inter & ~z == 0 for z in twos):
+                    branches = [(ea | eb, 3)]
+                    if v <= 3:
+                        branches.append((inter, 2))
+                    return branches
+            elif ba != bb:  # one bound-2, one bound-3 edge
+                e3, e2 = (ea, eb) if ba == 3 else (eb, ea)
+                if k >= 2 and e2 & ~e3:
+                    branches = [(e3 | e2, 3)]
+                    if v == 2:
+                        branches.append((inter, _IDENTIFY))
+                    return branches
+            else:  # both bound 2
+                if k >= 2:
+                    branches = [(ea | eb, 2)]
+                    if v == 2:
+                        branches.append((inter, _IDENTIFY))
+                    return branches
+                if k == 1 and not any((ea | eb) & ~z == 0 for z in threes):
+                    return [(ea | eb, 3)]
     return None
 
 
@@ -496,11 +543,10 @@ def min_above_rank4(m, max_nodes=None, threads=1):
         stats.comparisons += 1
         return compare(a, b)
 
-    l4 = list(strata[4])
-    l3 = [x for x in strata[3] if not any(leq(x, y) for y in l4)]
-    l2 = [x for x in strata[2] if not any(leq(x, y) for y in l4 + l3)]
-    l1 = [x for x in strata[1] if not any(leq(x, y) for y in l4 + l3 + l2)]
-    maximal = sorted(l1 + l2 + l3 + l4, key=Matroid.sort_key)
+    kept = []
+    for v in (4, 3, 2, 1):
+        kept += [x for x in strata[v] if not any(leq(x, y) for y in kept)]
+    maximal = sorted(kept, key=Matroid.sort_key)
     stats.wall_time = time.monotonic() - t0
     return DegenerationReport(m, maximal, stats, complete)
 

@@ -263,6 +263,7 @@ def test_criterion_10_determinism(fano):
         ("min-above", "catalog:steiner348", "--json"),
         ("min-above", "catalog:fanodual", "--json"),
         ("min-above", "catalog:threepairs", "--json"),
+        ("decompose", "catalog:threelines", "--json"),
     ]
     for cmd in commands:
         baseline = run_cli_bytes(*cmd)

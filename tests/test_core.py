@@ -126,6 +126,34 @@ def test_points_checked_before_shifting():
     assert peak < 1 << 20
 
 
+def test_out_of_range_subsets_refused(fano):
+    # every query that takes a subset, as points or as a mask, checks it
+    # against [d]; deletion must not drop a point it does not hold
+    hg = md.delta_of_matroid(fano)
+    calls = (
+        lambda: rank_of(fano, (8,)),
+        lambda: rank_of(fano, (0,)),
+        lambda: rank_of(fano, 1 << 7),
+        lambda: closure(fano, (9,)),
+        lambda: restriction(fano, (1, 2, 9)),
+        lambda: deletion(fano, (9,)),
+        lambda: md.valuation(hg, (12,)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="not a subset"):
+            call()
+    assert rank_of(fano, (1, 2, 7)) == 3 and rank_of(fano, 0b1111111) == 3
+
+
+def test_constructors_refuse_garbage(fano):
+    with pytest.raises(ValueError):
+        uniform_matroid(-1, 5)
+    for perm in ((1,) * 7, (1, 2, 3), (2, 1, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="permutation"):
+            md.relabel(fano, perm)
+    assert md.relabel(fano, tuple(range(1, 8))) == fano
+
+
 def test_rank_mismatch():
     # a single parallel pair on [4] has rank 3, not 2
     with pytest.raises(RankMismatch):

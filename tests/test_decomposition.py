@@ -3,7 +3,6 @@
 import matdeg as md
 from matdeg import (
     DecompositionComponent,
-    Hints,
     decompose,
     default_hints,
     isomorphism,
@@ -157,6 +156,15 @@ def test_load_hints_roundtrip(fano):
     assert hints.realizable[_key(fano)] is False
     assert _key(md.catalog("grid33")) in hints.exact
     assert load_hints("none").realizable == {}
+    # every table starts from the default realizability facts, and
+    # non_realizable overrides realizable
+    default = default_hints().realizable
+    both = load_hints({"realizable": ["fano", "vamos"], "non_realizable": ["fano"]})
+    assert both.realizable == {**default, _key(md.catalog("vamos")): True}
+    assert both.realizable[_key(fano)] is False
+    paper = paper_hints()
+    assert paper.realizable == default and paper.exact == {_key(md.catalog("grid33"))}
+    assert len(paper.covered) == 4
 
 
 def test_memoized_recursion_consistent(fano):
@@ -170,7 +178,8 @@ def test_covered_table_that_matches_nothing_changes_nothing(fano, qs):
     # a nonempty covered table makes the driver canonicalize every
     # degeneration; one that matches nothing must leave every component as
     # the default hints give it
-    unmatched = default_hints().merged_with(Hints(covered={"0" * 64}))
+    unmatched = default_hints()
+    unmatched.covered.add("0" * 64)
     for m in (qs, fano, md.catalog("threelines")):
         plain = decompose(m)
         checked = decompose(m, hints=unmatched)

@@ -448,6 +448,17 @@ _PINNED_DIGESTS = [
         "0517cecbc994ec84107b3c6a11866f3f874d7e6d6ce8c8950a79a5cede89e557",
         "43bea6831497918adbe8c5141776eb62a3376520217b5cc5c23f72a7b15885f2",
     ),
+    (
+        # 176 components; most of the recursion is served by the memo
+        ("decompose", "catalog:fanodual", "--hints", "paper"),
+        "5854c538c24cc31c0ada01ae3fa80611638fccee4b28af45bfc79b18ba18f230",
+        "a60dbdca42f4b3fca2211db9c231974ac3308bb2295c996d460be1d9a6b89f24",
+    ),
+    (
+        ("decompose", "catalog:threelines"),
+        "bce359bc7ed43e333a746cf4a66dc5cae86af63813a43d5c497019abef5df77a",
+        "0e46efc990c7ac91a2658718df74a08ac1748cf8f798444f2a31291b7c5ad90b",
+    ),
 ]
 
 

@@ -17,7 +17,8 @@ from matdeg import (
 )
 from matdeg.bitsets import mask_of
 from matdeg.catalog import FANO_LINES
-from matdeg.hypergraph import _normalize_edges, _scan_rank4, reduce as reduce_hypergraph, with_edge
+from matdeg.hypergraph import _normalize_edges, reduce as reduce_hypergraph, with_edge
+from matdeg.search import _scan_rank4
 
 from oracles import depmask, brute_leq
 
