@@ -12,7 +12,7 @@ import os
 import sys
 
 from .catalog import catalog as named_matroid, catalog_names
-from . import formats
+from . import experiments, formats
 from .decomposition import decompose, load_hints
 from .errors import MatdegError, excerpt
 from .hypergraph import reduce as reduce_hypergraph
@@ -251,9 +251,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_steiner(args):
-    from .experiments import steiner_experiment
-
-    report = steiner_experiment(
+    report = experiments.steiner_experiment(
         args.q, args.kind, max_nodes=args.limit_nodes, threads=_threads(args)
     )
     obj = {

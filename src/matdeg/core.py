@@ -630,7 +630,13 @@ def dependent_hyperplanes(m):
 
 def is_nilpotent(m):
     """Iterated restriction to the points of degree > 1 reaches the empty set."""
-    cur = full_mask(m.d)
+    return _nilpotent_within(m, full_mask(m.d))
+
+
+def _nilpotent_within(m, mask):
+    """``is_nilpotent`` of the restriction of m to mask, computed on m
+    itself: the subspaces within a mask keep their ranks in m."""
+    cur = mask
     while cur:
         # the points of degree > 1 (distinct bits, so the sum is their union)
         nxt = sum(b for b, c in _degrees(_subspace_data(m, cur)).items() if c > 1)

@@ -21,18 +21,20 @@ from types import MappingProxyType
 from .core import (
     Matroid,
     _degrees,
+    _nilpotent_within,
     _subspace_data,
     deletion,
+    designate_loop,
     is_nilpotent,
     is_paving,
     is_inductively_connected,
     matroid_from_circuits,
     relabel,
-    restriction,
     simplify,
     uniform_matroid,
 )
 from .bitsets import full_mask
+from .catalog import catalog as named, k33dual_degeneration_reps
 from .isomorphism import _canonical, _is_uniform_family, canonical_form, canonical_permutation
 from .search import SearchStats, min_above
 from .weak_order import compare
@@ -102,8 +104,6 @@ def default_hints():
 
 @lru_cache(maxsize=None)
 def _default_realizable():
-    from .catalog import catalog as named
-
     realizable = {}
     for name in ("qs", "grid33", "threelines", "k33dual", "vamosa"):
         realizable[_key(named(name))] = True
@@ -123,9 +123,6 @@ def paper_hints():
     the decomposition of the dual of the K33 graphic matroid: the grid's
     circuit variety equals its matroid variety, and the identification and
     loop degenerations are covered by the surviving components."""
-    from .catalog import catalog as named, k33dual_degeneration_reps
-    from .core import designate_loop
-
     k = named("k33dual")
     reps = k33dual_degeneration_reps()
     covered = {
@@ -155,7 +152,6 @@ def load_hints(name_or_obj):
         entries = name_or_obj.get(field, [])
         if type(entries) is not list or any(type(e) is not str for e in entries):
             raise ValueError("hints %r must be a list of strings" % field)
-    from .catalog import catalog as named
 
     def to_hash(entry):
         if len(entry) == 64 and all(c in "0123456789abcdef" for c in entry):
@@ -187,7 +183,7 @@ def proper_submatroids_all_nilpotent(m, exhaustive=False):
         subsets = range(fm)
     else:
         subsets = (fm & ~(1 << (p - 1)) for p in range(1, m.d + 1))
-    return all(is_nilpotent(restriction(m, sub)[0]) for sub in subsets)
+    return all(_nilpotent_within(m, sub) for sub in subsets)
 
 
 def _max_degree(m):
@@ -219,93 +215,78 @@ class _Driver:
         self.stats = SearchStats()
         self.complete = True
 
-    def realizability(self, key, m):
-        if key in self.hints.realizable:
-            return "yes" if self.hints.realizable[key] else "no"
-        if _is_uniform_family(m):
-            return "yes"
-        return "unknown"
-
     def decompose(self, m, depth, rule):
+        """The components of m, in m's labels: its simple core is answered
+        from the memo, stopped by the budget or expanded, then lifted."""
         simple, qmap = simplify(m)
-        comps = self.decompose_simple(simple, depth, rule)
-        return [replace(c, matroid=qmap.lift(c.matroid)) for c in comps]
-
-    def decompose_simple(self, m, depth, rule):
-        key = _key(m)
+        key = _key(simple)
         hit = self.memo.get(key)
         if hit is not None:
             # the memo holds the components in canonical labels
-            ordering = _canonical(m)[2]
-            return [replace(c, matroid=relabel(c.matroid, ordering)) for c in hit]
-        if self.budget is not None:
-            if self.budget <= 0:
-                self.complete = False
-                return [self._component(m, rule + ("budget-stop",), exact=False)]
-            self.budget -= 1
-        comps = self._expand(m, depth, rule)
-        comps = redundancy_prune(comps, annotate=False)
-        perm = canonical_permutation(m)
-        self.memo[key] = [replace(c, matroid=relabel(c.matroid, perm)) for c in comps]
-        return comps
+            ordering = _canonical(simple)[2]
+            comps = [replace(c, matroid=relabel(c.matroid, ordering)) for c in hit]
+        elif self.budget is not None and self.budget <= 0:
+            self.complete = False
+            comps = self._components(simple, key, rule + ("budget-stop",), False, keep=True)
+        else:
+            if self.budget is not None:
+                self.budget -= 1
+            comps = redundancy_prune(self._expand(simple, key, depth, rule), annotate=False)
+            perm = canonical_permutation(simple)
+            self.memo[key] = [replace(c, matroid=relabel(c.matroid, perm)) for c in comps]
+        return [replace(c, matroid=qmap.lift(c.matroid)) for c in comps]
 
-    def _component(self, m, rule, exact):
-        key = _key(m)
-        realizable = self.realizability(key, m)
-        # m is simple: decompose_simple's input, or the U(n - 1, d) of base
-        # case 2, where n >= 3 (a simple matroid of rank <= 2 is nilpotent,
-        # case 1)
-        connected, _ = is_inductively_connected(m)
-        status = (
-            "irreducible-proven" if (connected and realizable == "yes") else "unknown"
-        )
-        return DecompositionComponent(
+    def _components(self, m, key, rule, exact, keep=False):
+        """m's own component, as a list: empty when m is known not to be
+        realizable, unless ``keep`` (the depth and budget stops, and the
+        corank-uniform matroid, emit a component regardless).
+
+        m is simple: a recursion input, or the U(n - 1, d) of base case 2,
+        where n >= 3 (a simple matroid of rank <= 2 is nilpotent, case 1).
+        """
+        if key in self.hints.realizable:
+            realizable = "yes" if self.hints.realizable[key] else "no"
+        else:
+            realizable = "yes" if _is_uniform_family(m) else "unknown"
+        if realizable == "no" and not keep:
+            return []
+        # only a realizable matroid can be proven irreducible
+        proven = realizable == "yes" and is_inductively_connected(m)[0]
+        component = DecompositionComponent(
             matroid=m,
-            status=status,
+            status="irreducible-proven" if proven else "unknown",
             realizable=realizable,
             exact=exact,
             provenance=rule,
         )
+        return [component]
 
-    def _expand(self, m, depth, rule):
-        key = _key(m)
-        realizable = self.realizability(key, m)
+    def _expand(self, m, key, depth, rule):
         if key in self.hints.exact:
-            if realizable == "no":
-                return []
-            return [self._component(m, rule + ("exact-hint",), exact=True)]
+            return self._components(m, key, rule + ("exact-hint",), True)
         case = _base_case(m)
         if case == 1:
-            if realizable == "no":
-                return []
-            return [self._component(m, rule + ("nilpotent-base",), exact=True)]
+            return self._components(m, key, rule + ("nilpotent-base",), True)
         if case == 2:
-            out = []
-            if realizable != "no":
-                out.append(self._component(m, rule + ("submatroids-nilpotent-base",), False))
-            out.append(
-                self._component(
-                    uniform_matroid(m.n - 1, m.d), rule + ("corank-uniform",), True
-                )
+            u = uniform_matroid(m.n - 1, m.d)
+            out = self._components(m, key, rule + ("submatroids-nilpotent-base",), False)
+            return out + self._components(
+                u, _key(u), rule + ("corank-uniform",), True, keep=True
             )
-            return out
         if depth >= self.max_depth:
             self.complete = False
-            return [self._component(m, rule + ("depth-stop",), exact=False)]
-        out = []
-        if realizable != "no":
-            out.append(self._component(m, rule + ("recursed",), exact=False))
+            return self._components(m, key, rule + ("depth-stop",), False, keep=True)
+        out = self._components(m, key, rule + ("recursed",), False)
         report = min_above(m, threads=self.threads)
         self.stats.merge(report.stats)
         if not report.complete:
             self.complete = False
         covered = self.hints.covered
+        step = rule + ("degeneration:" + key[:8],)
         for nxt in report.maximal:
             if covered and _key(nxt) in covered:
                 continue
-            out.extend(
-                self.decompose(nxt, depth + 1, rule + ("degeneration:" + _key(m)[:8],))
-            )
+            out.extend(self.decompose(nxt, depth + 1, step))
         return out
 
 
@@ -313,25 +294,18 @@ def redundancy_prune(components, annotate=True):
     """Collapse duplicates, drop components strictly below an exact one, and
     (optionally) annotate surviving dominated components.
 
-    Only weak-order dominance by an exact component justifies removal; every
-    other surviving dominance is reported, not decided.
+    Duplicates keep the first copy, exact when any copy is: ``realizable``
+    and ``status`` are read off the matroid's simple core, so equal
+    matroids carry equal values.  Only weak-order dominance by an exact
+    component justifies removal; every other surviving dominance is
+    reported, not decided.
     """
     by_matroid = {}
-    order = []
     for c in components:
-        prev = by_matroid.get(c.matroid)
-        if prev is None:
-            by_matroid[c.matroid] = c
-            order.append(c.matroid)
-        else:
-            merged = replace(
-                prev,
-                exact=prev.exact or c.exact,
-                realizable=prev.realizable if prev.realizable != "unknown" else c.realizable,
-                status=prev.status if prev.status == "irreducible-proven" else c.status,
-            )
-            by_matroid[c.matroid] = merged
-    uniq = [by_matroid[k] for k in order]
+        prev = by_matroid.setdefault(c.matroid, c)
+        if c.exact and not prev.exact:
+            by_matroid[c.matroid] = replace(prev, exact=True)
+    uniq = list(by_matroid.values())
     exact_ms = [c.matroid for c in uniq if c.exact]
     kept = []
     for c in uniq:

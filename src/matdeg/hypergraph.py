@@ -165,8 +165,12 @@ def reduce(hg):
 def valuation(hg, subset):
     """Pointwise upper bound on the rank of the subset in any matroid below
     the hypergraph: min(|A|, n, |A \\ e| + bound over edges)."""
-    # the search passes masks, so only other input is checked
-    mask = subset if isinstance(subset, int) else _mask_in(subset, hg.d)
+    return _valuation(hg, _mask_in(subset, hg.d))
+
+
+def _valuation(hg, mask):
+    """``valuation`` of a mask already known to lie in [d]: the search's
+    form, which skips the check."""
     best = min(mask.bit_count(), hg.n)
     for e, b in hg.edges:  # bounds ascend, so later edges cannot win
         if b >= best:
@@ -186,7 +190,7 @@ def check_matroid_conditions(hg):
     edges = hg.edges
     for i, (e1, b1) in enumerate(edges):
         for e2, b2 in edges[i + 1 :]:
-            if valuation(hg, e1 & e2) + valuation(hg, e1 | e2) > b1 + b2:
+            if _valuation(hg, e1 & e2) + _valuation(hg, e1 | e2) > b1 + b2:
                 return False
     return True
 

@@ -39,9 +39,9 @@ from .core import (
 from .errors import BudgetExceeded, NotRankFour, NotSimple
 from .hypergraph import (
     _matroid_from_hypergraph_unchecked,
+    _valuation,
     delta_of_matroid,
     reduce as reduce_hypergraph,
-    valuation,
     with_edge,
 )
 from .weak_order import _insert_maximal, compare, maximal_elements
@@ -120,7 +120,7 @@ def _scan_general(hg):
     def val(mask):
         v = vals.get(mask)
         if v is None:
-            v = vals[mask] = valuation(hg, mask)
+            v = vals[mask] = _valuation(hg, mask)
         return v
 
     for a in range(len(edges)):
@@ -209,7 +209,7 @@ def _low_rank_leaf(hg):
     edges as loops and joins the bound-1 edges.  Returns that map, or None
     when the bound exceeds 2.
     """
-    if valuation(hg, full_mask(hg.d)) > 2:
+    if _valuation(hg, full_mask(hg.d)) > 2:
         return None
     loops = 0
     for e in hg.by_bound(0):

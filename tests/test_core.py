@@ -138,6 +138,8 @@ def test_out_of_range_subsets_refused(fano):
         lambda: restriction(fano, (1, 2, 9)),
         lambda: deletion(fano, (9,)),
         lambda: md.valuation(hg, (12,)),
+        lambda: md.valuation(hg, 1 << 11),
+        lambda: md.valuation(hg, -1),
     )
     for call in calls:
         with pytest.raises(ValueError, match="not a subset"):

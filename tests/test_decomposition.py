@@ -1,5 +1,11 @@
 """The recursive circuit-variety decomposition driver."""
 
+import hashlib
+import json
+import random
+
+import pytest
+
 import matdeg as md
 from matdeg import (
     DecompositionComponent,
@@ -11,7 +17,9 @@ from matdeg import (
     redundancy_prune,
     uniform_matroid,
 )
+from matdeg import decomposition, formats
 from matdeg.catalog import paving_from_hyperplanes
+from matdeg.core import _nilpotent_within
 from matdeg.decomposition import load_hints
 from matdeg.weak_order import brute_force_leq
 
@@ -75,13 +83,27 @@ def test_proper_submatroids_nilpotent(qs, fano, vamos):
 
 
 def test_quick_mode_matches_exhaustive(small_matroids):
-    import random
-
     random.seed(29)
     for m in random.sample(small_matroids[5], 25):
         assert proper_submatroids_all_nilpotent(m) == proper_submatroids_all_nilpotent(
             m, exhaustive=True
         )
+
+
+def test_nilpotent_within_matches_restriction():
+    # nilpotence of a restriction, computed on the masks of m itself, equals
+    # nilpotence of the restriction matroid, at every subset; the sample
+    # takes every non-nilpotent matroid so that both answers occur
+    ms = list(md.all_matroids(6, 6))
+    sample = random.Random(21).sample(ms, 400)
+    sample += [m for m in ms if not md.is_nilpotent(m)]
+    answers = set()
+    for m in sample:
+        for sub in range(1 << m.d):
+            within = _nilpotent_within(m, sub)
+            assert within == md.is_nilpotent(md.restriction(m, sub)[0]), (m, sub)
+            answers.add(within)
+    assert answers == {True, False}
 
 
 def make_component(m, exact=False):
@@ -210,3 +232,54 @@ def test_canonical_searches_feed_answers(qs, monkeypatch):
     del calls[:]
     decompose(qs)
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize(
+    "name, hints", [("threelines", None), ("fanodual", "paper")]
+)
+def test_duplicates_reaching_prune_agree(monkeypatch, name, hints):
+    # realizable and status are read off the matroid, so the duplicate
+    # merge may keep the first copy's values
+    seen = []
+    prune = decomposition.redundancy_prune
+
+    def record(components, annotate=True):
+        seen.append(list(components))
+        return prune(components, annotate)
+
+    monkeypatch.setattr(decomposition, "redundancy_prune", record)
+    decompose(md.catalog(name), hints=load_hints(hints))
+    pairs = 0
+    for components in seen:
+        first = {}
+        for c in components:
+            prev = first.setdefault(c.matroid, c)
+            if prev is not c:
+                pairs += 1
+                assert (prev.realizable, prev.status) == (c.realizable, c.status)
+    assert pairs > 100
+
+
+@pytest.mark.parametrize(
+    "name, hints, kwargs, digest",
+    [
+        (
+            "fano",
+            None,
+            {"budget": 2},
+            "c414647851a0ce6a5d123a1263dce5f676e2eba9abf51e76547e0bd016124245",
+        ),
+        (
+            "fanodual",
+            "paper",
+            {"max_depth": 1},
+            "88a2392a5ac132b6141842499601524f5a6d33e769fb4442b22d5e8952a862fa",
+        ),
+    ],
+)
+def test_incomplete_decompositions_pinned(name, hints, kwargs, digest):
+    # stopped runs exit 3 on the CLI, so the CLI digest pins cannot hold them
+    result = decompose(md.catalog(name), load_hints(hints), **kwargs)
+    assert not result.complete and len(result) == 22
+    objs = [formats.component_to_obj(c) for c in result.components]
+    assert hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest() == digest

@@ -140,6 +140,10 @@ def test_valuation():
     assert valuation(whole, (1, 2, 3, 4)) == 2
     mixed = induce([(l, 2) for l in FANO_LINES] + [((3, 7), 1)], 7, 3)
     assert valuation(mixed, (1, 3, 7)) == 2
+    # a mask in [d] is taken as it is; one outside [d] is refused
+    assert valuation(mixed, 0b1000101) == 2
+    with pytest.raises(ValueError, match="not a subset"):
+        valuation(mixed, 1 << 7)
 
 
 def test_check_matroid_conditions(fano):
