@@ -113,10 +113,9 @@ def paving_from_hyperplanes(d, n, hyperplanes, validate=True):
 
 def _below_bounds(d, n, bounds, validate=True):
     """The maximal rank-n matroid on [d] with rank(e) <= b for each bound
-    (e, b), built as a search leaf is, so the bounds stay its presentation.
-    ``validate`` checks the circuit axioms of the result; they fail when
-    the bounds are not the dependent hyperplanes or the small circuits of
-    some matroid."""
+    (e, b), built by the search's leaf builder.  ``validate`` checks the
+    circuit axioms of the result; they fail when the bounds are not the
+    dependent hyperplanes or the small circuits of some matroid."""
     m = _matroid_from_hypergraph_unchecked(induce(bounds, d, n))
     if validate:
         check_circuit_axioms(m)

@@ -6,12 +6,6 @@ through a greedy independence oracle (correct by the exchange axiom) with a
 per-instance cache; the cyclic flats and the canonical form are computed
 lazily and cached as well, so values can be shared freely between threads
 once constructed.
-
-A matroid built as the maximal one below rank bounds (a search leaf, a
-catalog entry, a paving or Steiner matroid) also carries a *presentation*,
-the (mask, bound) pairs that ``weak_order.compare`` reads; the constructors
-that keep one are listed there.  Every other matroid is presented by its
-cyclic flats.
 """
 
 from itertools import combinations
@@ -33,6 +27,11 @@ from .errors import AxiomViolation, MatdegError, RankMismatch, excerpt
 # close.  Every catalog entry fits (PG(2,4) needs 1,562, AG(2,4) 697); a
 # 30-point matroid of rank 29 would need over 10^9.
 _CYCLIC_FLAT_SUBSETS_MAX = 2048
+
+# Largest circuit list ``uniform_matroid`` builds: 2^20.  The U(2, q) of the
+# low-rank search leaves need at most C(64, 3) = 41,664; U(10, 64) would
+# need over 7 * 10^11.
+_UNIFORM_CIRCUITS_MAX = 1 << 20
 
 
 def _normalize_circuit_masks(masks):
@@ -66,25 +65,22 @@ class Matroid:
         "_by_point",
         "_rank_cache",
         "_cyclic_flats",
-        "_presentation",
         "_canon_cache",
         "_sort_key",
         "_key",
         "_hash",
     )
 
-    def __init__(self, d, n, circuit_masks, presentation=None):
-        # circuit_masks must already be a canonical minimal family; use
-        # matroid_from_circuits for raw input.  n None takes the rank of
-        # the ground set from the circuits.  ``presentation`` is the
-        # (mask, bound) pairs for ``weak_order.compare``, None for none.
+    def __init__(self, d, n, circuit_masks):
+        # circuit_masks must already be a canonical minimal family (sorted
+        # by size first); use matroid_from_circuits for raw input.  n None
+        # takes the rank of the ground set from the circuits.
         self.d = d
         self.circuit_masks = circuit_masks
         self._by_point = _circuits_by_point(d, circuit_masks)
         self._rank_cache = {}
         self.n = self._rank_mask(full_mask(d)) if n is None else n
         self._cyclic_flats = None
-        self._presentation = presentation
         self._canon_cache = None
         self._sort_key = None
         self._key = (d, circuit_masks)
@@ -99,7 +95,7 @@ class Matroid:
         return self._hash
 
     def __reduce__(self):
-        return (Matroid, (self.d, self.n, self.circuit_masks, self._presentation))
+        return (Matroid, (self.d, self.n, self.circuit_masks))
 
     def __repr__(self):
         return "Matroid(d=%d, n=%d, %d circuits)" % (
@@ -200,15 +196,6 @@ class Matroid:
                 if f and all(self._rank_mask(f & ~b) == r for b in _bits(f))
             )
         return self._cyclic_flats
-
-    def _presentation_masks(self):
-        """(mask, bound) pairs that decide the weak order below this
-        matroid: N <= self iff N.n <= self.n and rank_N(mask) <= bound for
-        every pair.  The stored presentation when there is one, else the
-        cyclic flats with their ranks."""
-        if self._presentation is None:
-            return self.cyclic_flats_masks()
-        return self._presentation
 
     def flats_of_rank(self, r):
         """All flats of the given rank, as masks, canonically sorted: the
@@ -341,9 +328,13 @@ def uniform_matroid(n, d):
         raise ValueError("the rank must be nonnegative")
     if n > d:
         raise ValueError("rank cannot exceed the ground-set size")
-    circuits = tuple(masks_of_size(d, n + 1))
-    # the maximal matroid of rank <= n below no pairs at all
-    return Matroid(d, n, circuits, ())
+    count = comb(d, n + 1)
+    if count > _UNIFORM_CIRCUITS_MAX:
+        raise _GroundSetTooLarge(
+            "U(%d, %d) has %d circuits; the limit is %d"
+            % (n, d, count, _UNIFORM_CIRCUITS_MAX)
+        )
+    return Matroid(d, n, tuple(masks_of_size(d, n + 1)))
 
 
 def restriction(m, subset):
@@ -393,11 +384,7 @@ def designate_loop(m, k):
         raise ValueError("point out of range")
     b = bit(k)
     circuits = [c for c in m.circuit_masks if c & b == 0] + [b]
-    canon = _normalize_circuit_masks(circuits)
-    pres = m._presentation
-    if pres is not None:
-        pres = ((b, 0),) + pres
-    return Matroid(m.d, None, canon, pres)
+    return Matroid(m.d, None, _normalize_circuit_masks(circuits))
 
 
 def relabel(m, perm):
@@ -405,10 +392,7 @@ def relabel(m, perm):
     if len(perm) != m.d or set(perm) != set(range(1, m.d + 1)):
         raise ValueError("relabeling needs a permutation of 1..%d" % m.d)
     circuits = [mask_of(perm[p - 1] for p in points_of(c)) for c in m.circuit_masks]
-    pres = m._presentation
-    if pres is not None:
-        pres = tuple((mask_of(perm[p - 1] for p in points_of(e)), b) for e, b in pres)
-    return Matroid(m.d, m.n, tuple(sorted(circuits, key=canon_key)), pres)
+    return Matroid(m.d, m.n, tuple(sorted(circuits, key=canon_key)))
 
 
 # -- quotients (loops removed, parallel points identified) -------------------
@@ -518,23 +502,14 @@ class QuotientMap:
 
         Loops return as singleton circuits, each nontrivial fiber becomes a
         parallel class, and each circuit of ``m`` lifts to all transversals
-        of the fibers of its points.
-
-        A presentation of ``m`` lifts to (loops, 0), (fiber, 1) for each
-        fiber of two or more points and (preimage(e), b) for each pair
-        (e, b).  That family decides the weak order below the lift, but it
-        is no rank formula: two 2-point fibers over an independent pair have
-        rank 2, while the minimum over the pairs gives 3.
-
-        The identity map returns ``m`` itself.
+        of the fibers of its points.  The identity map returns ``m`` itself.
         """
         if m.d != self.q:
             raise ValueError("matroid lives on the wrong ground set")
         if self.is_identity():
             return m
         fibers = {self.target[pts[0] - 1]: tuple(map(bit, pts)) for pts in self.classes}
-        loops = sorted(self.removed_loops)
-        circuits = [bit(p) for p in loops]
+        circuits = [bit(p) for p in sorted(self.removed_loops)]
         for bits in fibers.values():
             for a, b in combinations(bits, 2):
                 circuits.append(a | b)
@@ -544,18 +519,7 @@ class QuotientMap:
                 transversals = [x | b for x in transversals for b in fibers[t]]
             circuits += transversals
         canon = tuple(sorted(set(circuits), key=canon_key))
-        pres = m._presentation
-        if pres is not None:
-            fiber_masks = {t: sum(bits) for t, bits in fibers.items()}
-            lifted = [(mask_of(loops), 0)] if loops else []
-            lifted += [(f, 1) for f in fiber_masks.values() if f.bit_count() >= 2]
-            for e, b in pres:
-                pre = 0
-                for t in points_of(e):
-                    pre |= fiber_masks[t]
-                lifted.append((pre, b))
-            pres = tuple(lifted)
-        return Matroid(self.d_source, m.n, canon, pres)
+        return Matroid(self.d_source, m.n, canon)
 
 
 def simplify(m):

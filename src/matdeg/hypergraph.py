@@ -206,9 +206,9 @@ def matroid_from_hypergraph(hg):
 
 def _matroid_from_hypergraph_unchecked(hg):
     """The matroid of ``hg``'s edge-induced circuits, for a caller that knows
-    the conditions hold: it is the maximal matroid below the edges, and the
-    edges are kept as its presentation.  The search builds its stable
-    leaves with it, and the catalog its paving and small-circuit matroids.
+    the conditions hold: it is the maximal matroid below the edges.  The
+    search builds its stable leaves with it, and the catalog its paving and
+    small-circuit matroids.
 
     A candidate S, a (b+1)-subset of an edge (e, b) or an (n+1)-subset of
     [d], is a circuit unless it holds a smaller candidate: a (c+1)-subset of
@@ -230,4 +230,4 @@ def _matroid_from_hypergraph_unchecked(hg):
         return True
 
     canon = tuple(sorted(filter(is_circuit, cands), key=canon_key))
-    return Matroid(hg.d, None, canon, edges)
+    return Matroid(hg.d, None, canon)

@@ -1,26 +1,11 @@
 """The weak order on matroids: N <= M iff every dependent set of M is
-dependent in N, i.e. rank_N(X) <= rank_M(X) for every subset X.
+dependent in N.
 
-``compare`` reads a *presentation* of M: (mask, bound) pairs such that
-N <= M exactly when N.n <= M.n and rank_N(mask) <= bound for every pair.
-
-- The cyclic flats of M with their ranks are one.  The rank of any set X
-  in M is the minimum of rank_M(F) + |X \\ F| over the cyclic flats F
-  (Bonin and de Mier, "The lattice of cyclic flats of a matroid", 2008),
-  so no cyclic flat of larger rank in N means rank_N <= rank_M everywhere.
-- A stable leaf of the degeneration search, the result of a checked
-  ``matroid_from_hypergraph``, and a catalog, paving or Steiner matroid
-  are each the maximal matroid of rank <= n below a hypergraph, so its
-  edges are another (the rank test carries n), and they cost nothing to
-  keep.  ``uniform_matroid`` has the empty one, and ``relabel``,
-  ``designate_loop`` (when its argument has one) and
-  ``QuotientMap.lift`` carry theirs over.  A lifted presentation
-  adds (loops, 0) and (fiber, 1) pairs.  It decides the order, but it is
-  no rank formula: never read a rank off it.
-
-Every other matroid (parsed, restricted, dualized, ...) is presented by its
-cyclic flats, computed on first use.  ``brute_force_leq`` is the
-independent oracle used by the tests.
+Dependence is closed under supersets, so N <= M exactly when every circuit
+of M is dependent in N, and ``compare`` tests that on M's stored circuits.
+A set larger than rank(N) is always dependent in N, so the test stops at
+the first circuit of M that large.  ``brute_force_leq`` is the independent
+oracle used by the tests.
 """
 
 from itertools import combinations
@@ -49,19 +34,23 @@ def brute_force_leq(m_prime, m):
 
 
 def compare(m_prime, m):
-    """Decide m_prime <= m in the weak order.
-
-    True iff rank(m_prime) <= rank(m) and rank_m_prime(e) <= b for every
-    pair (e, b) of m's presentation: its search hypergraph when it has one,
-    else its cyclic flats.  Pairs with b >= rank(m_prime) hold trivially
-    and are skipped.
-    """
+    """Decide m_prime <= m in the weak order: every circuit of m is
+    dependent in m_prime.  Circuits are sorted by size, so the first one
+    larger than rank(m_prime) ends the scan; it and all later ones are
+    dependent there.  The test implies rank(m_prime) <= rank(m), which is
+    checked first as a shortcut."""
     if m_prime.d != m.d:
         raise GroundSetMismatch("ground sets differ")
     n = m_prime.n
-    return n <= m.n and all(
-        m_prime._rank_mask(e) <= b for e, b in m._presentation_masks() if b < n
-    )
+    if n > m.n:
+        return False
+    for c in m.circuit_masks:
+        k = c.bit_count()
+        if k > n:
+            break
+        if m_prime._rank_mask(c) == k:
+            return False
+    return True
 
 
 def _insert_maximal(antichain, cand, leq):

@@ -182,11 +182,9 @@ def all_matroids_by_antichains(d):
 
 def brute_lift(target, m):
     """Lift of m through the quotient map with the given target tuple
-    (0 for a removed loop), as (circuits, presentation): loops, pairs
-    inside each fiber and every transversal of the fibers of each circuit
-    of m, canonically sorted; the presentation is (loops, 0), (fiber, 1)
-    for each fiber of two or more points in label order, then the
-    preimage of each pair of m's presentation (None when m has none)."""
+    (0 for a removed loop), as its circuit masks: loops, pairs inside
+    each fiber and every transversal of the fibers of each circuit of m,
+    canonically sorted."""
     d = len(target)
     fiber = {t: [p for p in range(1, d + 1) if target[p - 1] == t] for t in range(1, m.d + 1)}
     loops = [p for p in range(1, d + 1) if target[p - 1] == 0]
@@ -196,11 +194,4 @@ def brute_lift(target, m):
     for c in m.circuits:
         for choice in product(*(fiber[t] for t in c)):
             circuits.add(mask_of(choice))
-    circuits = tuple(sorted(circuits, key=lambda c: (c.bit_count(), points_of(c))))
-    if m._presentation is None:
-        return circuits, None
-    pres = [(mask_of(loops), 0)] if loops else []
-    pres += [(mask_of(fiber[t]), 1) for t in sorted(fiber) if len(fiber[t]) >= 2]
-    for e, b in m._presentation:
-        pres.append((mask_of(p for t in points_of(e) for p in fiber[t]), b))
-    return circuits, tuple(pres)
+    return tuple(sorted(circuits, key=lambda c: (c.bit_count(), points_of(c))))

@@ -155,13 +155,15 @@ def test_cli_ground_set_limit_is_input_error(tmp_path):
 
 def test_cli_refuses_cyclic_flats_beyond_limit(tmp_path):
     # one circuit on 30 points: closing every subset of size <= rank would
-    # take about 2^30 closures, so both verbs refuse the input at once
+    # take about 2^30 closures, so min-above refuses the input at once;
+    # compare reads circuits only and answers
     (tmp_path / "smaller.txt").write_text("30 28\n1 2\n3 4\n")
     (tmp_path / "larger.txt").write_text("30 29\n1 2\n")
     src = os.path.dirname(os.path.dirname(md.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in (("compare", "smaller.txt", "larger.txt"), ("min-above", "larger.txt")):
-        proc = subprocess.run(
+
+    def run(*argv):
+        return subprocess.run(
             [sys.executable, "-m", "matdeg.cli", *argv],
             capture_output=True,
             text=True,
@@ -169,8 +171,17 @@ def test_cli_refuses_cyclic_flats_beyond_limit(tmp_path):
             cwd=tmp_path,
             timeout=20,
         )
-        assert proc.returncode == 2 and proc.stdout == "", argv
-        assert "cyclic flats" in proc.stderr
+
+    proc = run("compare", "smaller.txt", "larger.txt")
+    assert proc.returncode == 0 and proc.stdout == "true\n"
+    proc = run("min-above", "larger.txt")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "cyclic flats" in proc.stderr
+
+
+def test_cli_refuses_huge_uniform_catalog_name():
+    code, out = run_cli("compare", "catalog:u10_64", "catalog:u2_64")
+    assert code == 2 and out == ""
 
 
 def test_cli_isomorphic():

@@ -126,24 +126,21 @@ def test_maximal_elements_is_antichain(small_matroids):
 
 
 def _leaves(m):
-    """The degenerations of m that carry a presentation: its search leaves,
-    and its designated loops when m has one."""
-    return [x for x in md.min_above(m).maximal if x._presentation is not None]
+    """The degenerations of m: its search leaves and its designated loops."""
+    return list(md.min_above(m).maximal)
 
 
 def _parsed(m):
-    """m read back from its JSON form, which carries no presentation."""
+    """m read back from its JSON form: a fresh instance, no caches."""
     return formats.matroid_from_obj(formats.matroid_to_obj(m))
 
 
-def _presented_pool(fano):
-    """Matroids on [6] and [7] that carry a presentation: catalog entries,
+def _constructed_pool(fano):
+    """Matroids on [6] and [7] from every constructor: catalog entries,
     search leaves, their relabelings and designated loops, and lifts of
-    search leaves and of uniform matroids.  The sources are parsed, so that
-    they are presented by their cyclic flats."""
+    search leaves and of uniform matroids; and parsed sources."""
     rng = random.Random(53)
     sources = [_parsed(m) for m in md.all_matroids(6, 6) if m.n >= 2]
-    assert all(m._presentation is None for m in sources)
     pool = [md.uniform_matroid(n, d) for d in (6, 7) for n in range(d + 1)]
     pool += [md.catalog(name) for name in ("fano", "fanodual", "threelines", "qs", "threepairs")]
     for m in rng.sample(sources, 12) + [fano]:
@@ -160,15 +157,19 @@ def _presented_pool(fano):
     return pool, sources
 
 
-def test_constructed_presentations_match_oracle(fano):
-    pool, sources = _presented_pool(fano)
-    assert all(m._presentation is not None for m in pool)
+def test_constructed_matroids_match_oracle(fano):
+    pool, sources = _constructed_pool(fano)
+    # compare stops at the first circuit larger than the rank: it needs
+    # every circuit list sorted by size
+    for m in pool + sources:
+        sizes = [c.bit_count() for c in m.circuit_masks]
+        assert sizes == sorted(sizes), m.circuits
     rng = random.Random(59)
     by_d = {d: [m for m in pool if m.d == d] for d in (6, 7)}
     pairs = []
     for ms in by_d.values():
         pairs += [(rng.choice(ms), rng.choice(ms)) for _ in range(1500)]
-    # presentations against matroids without one, either way round
+    # constructed matroids against parsed ones, either way round
     pairs += [(rng.choice(sources), rng.choice(by_d[6])) for _ in range(1000)]
     pairs += [(rng.choice(by_d[6]), rng.choice(sources)) for _ in range(500)]
     outcomes = set()
@@ -180,8 +181,7 @@ def test_constructed_presentations_match_oracle(fano):
 
 
 def test_compare_is_false_above_the_rank(fano):
-    # N <= M forces rank(N) <= rank(M); a leaf's edges do not bound its
-    # rank, so compare has to test it
+    # N <= M forces rank(N) <= rank(M), on either side of a search leaf
     leaves = _leaves(fano)
     assert {m.n for m in leaves} == {2, 3}
     for m in leaves:
@@ -191,9 +191,17 @@ def test_compare_is_false_above_the_rank(fano):
             assert not compare(m, md.uniform_matroid(n, 7))
 
 
-def test_pickle_keeps_presentation(fano):
-    parsed = _parsed(fano)
-    assert fano._presentation is not None and parsed._presentation is None
-    for m in md.min_above(fano).maximal + (fano, parsed):
+def test_pickle_round_trip(fano):
+    for m in md.min_above(fano).maximal + (fano, _parsed(fano)):
         back = pickle.loads(pickle.dumps(m))
-        assert back == m and back._presentation == m._presentation
+        assert back == m
+        assert (back.d, back.n, back.circuit_masks) == (m.d, m.n, m.circuit_masks)
+
+
+def test_compare_computes_no_cyclic_flats(fano):
+    # compare reads circuits only, on fresh instances either way round
+    vamos = md.catalog("vamos")
+    for a, b in ((fano, md.catalog("fanodual")), (vamos, md.designate_loop(vamos, 3))):
+        a, b = _parsed(a), _parsed(b)
+        assert [compare(a, b), compare(b, a)] == [brute_force_leq(a, b), brute_force_leq(b, a)]
+        assert a._cyclic_flats is None and b._cyclic_flats is None
