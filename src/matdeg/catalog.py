@@ -149,30 +149,19 @@ class _UnsupportedPlane(MatdegError, ValueError):
     """A plane order or kind the generators cannot build."""
 
 
-class _GF:
-    """Arithmetic for GF(q), q in {2, 3, 4, 5, 7}: the orders of the planes
-    that fit in ``MAX_GROUND`` points."""
-
-    def __init__(self, q):
-        self.q = q
-        if q == 4:
-            # GF(2)[x]/(x^2+x+1) on bit pairs; addition is xor
-            self._mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
-            self._inv = {1: 1, 2: 3, 3: 2}
-        elif q in (2, 3, 5, 7):
-            self._mul = None
-            self._inv = {a: pow(a, q - 2, q) for a in range(1, q)}
-        else:
-            raise _UnsupportedPlane("only q in {2, 3, 4, 5, 7} is supported")
-
-    def add(self, a, b):
-        return a ^ b if self.q == 4 else (a + b) % self.q
-
-    def mul(self, a, b):
-        return self._mul[a][b] if self.q == 4 else (a * b) % self.q
-
-    def inv(self, a):
-        return self._inv[a]
+def _field(q):
+    """The (add, mul) tables of GF(q), q in {2, 3, 4, 5, 7}: the orders of
+    the planes that fit in ``MAX_GROUND`` points."""
+    if q == 4:
+        # GF(2)[x]/(x^2+x+1) on bit pairs; addition is xor
+        add = [[a ^ b for b in range(4)] for a in range(4)]
+        return add, ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+    if q not in (2, 3, 5, 7):
+        raise _UnsupportedPlane("only q in {2, 3, 4, 5, 7} is supported")
+    return (
+        [[(a + b) % q for b in range(q)] for a in range(q)],
+        [[a * b % q for b in range(q)] for a in range(q)],
+    )
 
 
 def _check_plane(q, d):
@@ -187,54 +176,37 @@ def _check_plane(q, d):
 
 
 def projective_plane_blocks(q):
-    """Points are labels 1..q^2+q+1; blocks are the q+1-point lines of
-    PG(2, q)."""
+    """Points are labels 1..q^2+q+1, numbering in lexicographic order the
+    vectors whose first nonzero coordinate is 1; blocks are the q+1-point
+    lines of PG(2, q), each named by the coordinates of a point and holding
+    the points orthogonal to it."""
     _check_plane(q, q * q + q + 1)
-    gf = _GF(q)
-    pts = []
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                v = (x, y, z)
-                if v == (0, 0, 0):
-                    continue
-                lead = next(c for c in v if c != 0)
-                scale = gf.inv(lead)
-                norm = tuple(gf.mul(scale, c) for c in v)
-                if norm not in pts:
-                    pts.append(norm)
-    pts.sort()
-    label = {p: i + 1 for i, p in enumerate(pts)}
-    blocks = []
-    for line in pts:
-        block = []
-        for p in pts:
-            s = 0
-            for a, b in zip(line, p):
-                s = gf.add(s, gf.mul(a, b))
-            if s == 0:
-                block.append(label[p])
-        blocks.append(tuple(sorted(block)))
+    add, mul = _field(q)
+    pts = [(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+    pts += [(1, y, z) for y in range(q) for z in range(q)]
+    blocks = [
+        tuple(
+            i
+            for i, (x, y, z) in enumerate(pts, 1)
+            if add[add[mul[a][x]][mul[b][y]]][mul[c][z]] == 0
+        )
+        for a, b, c in pts
+    ]
     return len(pts), tuple(sorted(blocks))
 
 
 def affine_plane_blocks(q):
-    """Points are labels 1..q^2; blocks are the q-point lines of AG(2, q)."""
+    """Points are labels 1..q^2, (x, y) having label q*x + y + 1; blocks are
+    the q-point lines of AG(2, q)."""
     _check_plane(q, q * q)
-    gf = _GF(q)
-    pts = sorted((x, y) for x in range(q) for y in range(q))
-    label = {p: i + 1 for i, p in enumerate(pts)}
-    blocks = []
-    for c in range(q):
-        blocks.append(tuple(sorted(label[(c, y)] for y in range(q))))
-    for slope in range(q):
-        for icept in range(q):
-            block = []
-            for x in range(q):
-                y = gf.add(gf.mul(slope, x), icept)
-                block.append(label[(x, y)])
-            blocks.append(tuple(sorted(block)))
-    return len(pts), tuple(sorted(blocks))
+    add, mul = _field(q)
+    blocks = [tuple(q * x + y + 1 for y in range(q)) for x in range(q)]
+    blocks += [
+        tuple(q * x + add[mul[slope][x]][icept] + 1 for x in range(q))
+        for slope in range(q)
+        for icept in range(q)
+    ]
+    return q * q, tuple(sorted(blocks))
 
 
 def projective_plane(q):

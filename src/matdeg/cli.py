@@ -13,7 +13,7 @@ import sys
 
 from .catalog import catalog as named_matroid, catalog_names
 from . import experiments, formats
-from .decomposition import decompose, load_hints
+from .decomposition import _NAMED_HINTS, decompose, load_hints
 from .errors import MatdegError, excerpt
 from .hypergraph import reduce as reduce_hypergraph
 from .isomorphism import are_isomorphic, automorphisms, group_by_symmetry
@@ -66,13 +66,6 @@ def _matroid_from_text(text):
     if text.lstrip().startswith("{"):
         return formats.matroid_from_obj(json.loads(text), validate=True)
     return formats.loads_matroid(text, validate=True)
-
-
-def _hints_from_text(text):
-    obj = json.loads(text)
-    if type(obj) is not dict:  # load_hints reads a string as a spec name
-        raise ValueError("hints must be a JSON object")
-    return load_hints(obj)
 
 
 def _load_matroid(source):
@@ -143,10 +136,10 @@ def _cmd_min_above(args):
 
 def _cmd_decompose(args):
     m = _load_matroid(args.matroid)
-    if args.hints in (None, "default", "none", "paper"):
-        hints = load_hints(args.hints)
+    if args.hints in _NAMED_HINTS:
+        hints = _NAMED_HINTS[args.hints]()
     else:
-        hints = _parse(args.hints, "load hints", _hints_from_text)
+        hints = _parse(args.hints, "load hints", lambda text: load_hints(json.loads(text)))
     result = decompose(
         m, hints=hints, max_depth=args.max_depth, budget=args.budget, threads=_threads(args)
     )
@@ -315,7 +308,9 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="circuit-variety decomposition")
     p.add_argument("matroid")
-    p.add_argument("--hints", default=None, help="'paper', 'none' or a JSON file")
+    p.add_argument(
+        "--hints", default="default", help="'default', 'paper', 'none' or a JSON file"
+    )
     p.add_argument("--max-depth", type=_nonnegative, default=8, metavar="K")
     p.add_argument("--budget", type=_nonnegative, default=None, metavar="N")
     p.add_argument("--threads", type=int, default=None)

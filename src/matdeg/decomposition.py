@@ -35,6 +35,7 @@ from .core import (
 )
 from .bitsets import full_mask
 from .catalog import catalog as named, k33dual_degeneration_reps
+from .errors import excerpt
 from .isomorphism import _canonical, _is_uniform_family, canonical_form, canonical_permutation
 from .search import SearchStats, min_above
 from .weak_order import compare
@@ -135,21 +136,24 @@ def paper_hints():
     return Hints(realizable=_default_realizable(), exact=exact, covered=covered)
 
 
-def load_hints(name_or_obj):
-    """Hint specs: "paper", "default"/"none", or a parsed JSON object with
-    optional "realizable", "non_realizable", "exact", "covered" lists whose
-    entries are catalog names or canonical hashes.  Any other object raises
-    ValueError."""
-    if name_or_obj in (None, "default"):
-        return default_hints()
-    if name_or_obj == "paper":
-        return paper_hints()
-    if name_or_obj == "none":
-        return Hints()
-    if type(name_or_obj) is not dict:
+# the hint specs the CLI accepts by name
+_NAMED_HINTS = {"default": default_hints, "paper": paper_hints, "none": Hints}
+
+_HINT_FIELDS = ("realizable", "non_realizable", "exact", "covered")
+
+
+def load_hints(obj):
+    """Hints from a parsed JSON object with optional "realizable",
+    "non_realizable", "exact" and "covered" lists whose entries are catalog
+    names or canonical hashes; realizability starts from the default facts.
+    Any other value, or any other key, raises ValueError."""
+    if type(obj) is not dict:
         raise ValueError("hints must be a JSON object")
-    for field in ("realizable", "non_realizable", "exact", "covered"):
-        entries = name_or_obj.get(field, [])
+    for key in obj:
+        if key not in _HINT_FIELDS:
+            raise ValueError("unknown hints field %s" % excerpt(key))
+    for field in _HINT_FIELDS:
+        entries = obj.get(field, [])
         if type(entries) is not list or any(type(e) is not str for e in entries):
             raise ValueError("hints %r must be a list of strings" % field)
 
@@ -158,7 +162,6 @@ def load_hints(name_or_obj):
             return entry
         return _key(named(entry))
 
-    obj = name_or_obj
     realizable = dict(_default_realizable())
     realizable.update((to_hash(e), True) for e in obj.get("realizable", ()))
     exact = [to_hash(e) for e in obj.get("exact", ())]

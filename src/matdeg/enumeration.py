@@ -11,36 +11,29 @@ d <= 7.  This is the reference generator used by the oracle tests.
 from functools import lru_cache
 from itertools import combinations
 
-from .bitsets import bit, mask_of
-from .core import Matroid, QuotientMap, dual, uniform_matroid
+from .bitsets import bit, mask_of, masks_of_size
+from .core import QuotientMap, dual, uniform_matroid
 from .catalog import paving_from_hyperplanes
 
 
 def set_partitions(items):
-    """All partitions of a list, each a list of classes (deterministic)."""
-    items = list(items)
+    """All partitions of a list, each a list of tuple classes
+    (deterministic)."""
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
     for part in set_partitions(rest):
-        yield [[first]] + [list(c) for c in part]
+        yield [(first,)] + part
         for i in range(len(part)):
-            yield (
-                [list(c) for c in part[:i]]
-                + [[first] + list(part[i])]
-                + [list(c) for c in part[i + 1 :]]
-            )
+            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
 
 
 @lru_cache(maxsize=None)
 def _line_families(q):
     """All families of proper >=3-point lines on [q], pairwise meeting in
     at most one point.  Each family is a tuple of point-set masks."""
-    candidates = []
-    for size in range(3, q):
-        for combo in combinations(range(1, q + 1), size):
-            candidates.append(mask_of(combo))
+    candidates = [c for size in range(3, q) for c in masks_of_size(q, size)]
     out = []
 
     def grow(start, chosen):
@@ -57,7 +50,13 @@ def _line_families(q):
 
 
 @lru_cache(maxsize=None)
-def _simple_rank3(q):
+def _simple(q, rank):
+    """The simple matroids of rank ``rank`` <= 3 on [q]: U(0,0), U(1,1),
+    U(2,q) for q >= 2, and the point-line configurations of rank 3."""
+    if q < rank or (rank < 2 and q > rank):
+        return ()
+    if rank < 3:
+        return (uniform_matroid(rank, q),)
     return tuple(
         paving_from_hyperplanes(q, 3, family, validate=False) for family in _line_families(q)
     )
@@ -82,28 +81,14 @@ def all_matroids(d, max_rank=3):
 
 
 def _matroids_of_rank(d, rank):
-    if rank == 0:
-        yield Matroid(d, 0, tuple(bit(p) for p in range(1, d + 1)))
-        return
     points = list(range(1, d + 1))
     for loop_count in range(0, d - rank + 1):
         for loops in combinations(points, loop_count):
             loop_mask = mask_of(loops)
             rest = [p for p in points if not bit(p) & loop_mask]
             for part in set_partitions(rest):
-                q = len(part)
-                if rank == 1:
-                    if q != 1:
-                        continue
-                    simples = (uniform_matroid(1, 1),)
-                elif rank == 2:
-                    if q < 2:
-                        continue
-                    simples = (uniform_matroid(2, q),)
-                else:
-                    if q < 3:
-                        continue
-                    simples = _simple_rank3(q)
-                qmap = QuotientMap.collapsing(d, loop_mask, map(mask_of, part))
-                for simple in simples:
-                    yield qmap.lift(simple)
+                simples = _simple(len(part), rank)
+                if simples:
+                    qmap = QuotientMap.collapsing(d, loop_mask, map(mask_of, part))
+                    for simple in simples:
+                        yield qmap.lift(simple)

@@ -1,5 +1,10 @@
 """Catalog fixtures and incidence generators."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
 import matdeg as md
@@ -46,6 +51,42 @@ def test_plane_block_counts():
         d, blocks = affine_plane_blocks(q)
         assert (d, len(blocks)) == (pts, lines)
         assert all(len(b) == q for b in blocks)
+
+
+def test_plane_blocks_pinned():
+    # the planes-par workload and the catalog planes read these blocks, so
+    # their labels and order are pinned byte for byte
+    h = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7):
+        h.update(repr(projective_plane_blocks(q)).encode())
+        h.update(repr(affine_plane_blocks(q)).encode())
+    assert h.hexdigest() == "bf202cda36c2bb72d27855f67f0a0d796bd2a131b4af0b632e096426236e1008"
+
+
+def test_import_builds_nothing():
+    # every table is built on first use, so importing the package costs
+    # only the import; a fresh process is needed, as the tests fill them
+    code = """
+import sys
+import matdeg
+from matdeg import decomposition, enumeration
+assert not sys.modules["matdeg.catalog"]._CACHE
+for cached in (
+    decomposition._default_realizable,
+    enumeration._line_families,
+    enumeration._simple,
+):
+    assert cached.cache_info().currsize == 0, cached
+"""
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_plane_generators_refuse_before_building():

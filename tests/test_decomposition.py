@@ -9,6 +9,7 @@ import pytest
 import matdeg as md
 from matdeg import (
     DecompositionComponent,
+    Hints,
     decompose,
     default_hints,
     isomorphism,
@@ -20,7 +21,7 @@ from matdeg import (
 from matdeg import decomposition, formats
 from matdeg.catalog import paving_from_hyperplanes
 from matdeg.core import _nilpotent_within
-from matdeg.decomposition import load_hints
+from matdeg.decomposition import _NAMED_HINTS, load_hints
 from matdeg.weak_order import brute_force_leq
 
 
@@ -177,7 +178,7 @@ def test_load_hints_roundtrip(fano):
 
     assert hints.realizable[_key(fano)] is False
     assert _key(md.catalog("grid33")) in hints.exact
-    assert load_hints("none").realizable == {}
+    assert Hints().realizable == {}
     # every table starts from the default realizability facts, and
     # non_realizable overrides realizable
     default = default_hints().realizable
@@ -248,7 +249,7 @@ def test_duplicates_reaching_prune_agree(monkeypatch, name, hints):
         return prune(components, annotate)
 
     monkeypatch.setattr(decomposition, "redundancy_prune", record)
-    decompose(md.catalog(name), hints=load_hints(hints))
+    decompose(md.catalog(name), hints=_NAMED_HINTS[hints or "default"]())
     pairs = 0
     for components in seen:
         first = {}
@@ -279,7 +280,7 @@ def test_duplicates_reaching_prune_agree(monkeypatch, name, hints):
 )
 def test_incomplete_decompositions_pinned(name, hints, kwargs, digest):
     # stopped runs exit 3 on the CLI, so the CLI digest pins cannot hold them
-    result = decompose(md.catalog(name), load_hints(hints), **kwargs)
+    result = decompose(md.catalog(name), _NAMED_HINTS[hints or "default"](), **kwargs)
     assert not result.complete and len(result) == 22
     objs = [formats.component_to_obj(c) for c in result.components]
     assert hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest() == digest

@@ -1,5 +1,9 @@
 """The reference generator of all small labeled matroids."""
 
+import hashlib
+
+import pytest
+
 import matdeg as md
 from matdeg import all_matroids
 from matdeg.core import check_circuit_axioms
@@ -43,3 +47,21 @@ def test_dual_closure_on_six():
             count += 1
             assert md.dual(m).n == 6 - m.n
     assert count > 0
+
+
+@pytest.mark.parametrize(
+    "max_d, full_rank, digest",
+    [
+        (7, False, "6056ba0fbd152dc495a0dd4c7df7c0f540b1298d0be593273598f37210230a75"),
+        (6, True, "ae00e00b3533e094cf3a7ee745c833d59ad741f38c5f6656625d1f766846a10a"),
+    ],
+    ids=["rank-at-most-3", "every-rank"],
+)
+def test_stream_pinned(max_d, full_rank, digest):
+    # the queries workload picks its matroids by position in this stream,
+    # so every matroid and its place in it are pinned byte for byte
+    h = hashlib.sha256()
+    for d in range(max_d + 1):
+        for m in all_matroids(d, d if full_rank else 3):
+            h.update(repr((m.d, m.n, m.circuit_masks)).encode())
+    assert h.hexdigest() == digest

@@ -230,6 +230,9 @@ def test_cli_decompose_json():
         {"realizable": "fano"},
         {"exact": ["grid33", 3]},
         {"covered": {"fano": 1}},
+        # an unknown field, and a matroid file passed as hints
+        {"realisable": ["qs"]},
+        {"d": 3, "n": 2, "circuits": [[1, 2, 3]]},
     ],
 )
 def test_cli_refuses_malformed_hints(tmp_path, hints):
