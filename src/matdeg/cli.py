@@ -163,7 +163,7 @@ def _cmd_decompose(args):
                     c.realizable,
                     c.exact,
                     (
-                        " possibly-redundant-in=" + ",".join(c.possible_redundancy)
+                        " possibly-redundant-in=" + ",".join(map(str, c.possible_redundancy))
                         if c.possible_redundancy
                         else ""
                     ),

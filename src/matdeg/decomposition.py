@@ -46,9 +46,10 @@ class DecompositionComponent:
     """One term of a (potential) irreducible decomposition.
 
     ``exact`` records that the component's circuit variety coincides with
-    its matroid variety; ``possible_redundancy`` lists the ids of surviving
-    components that dominate this one in the weak order (inclusions that
-    would need geometric arguments to decide).
+    its matroid variety; in a ``DecompositionResult``,
+    ``possible_redundancy`` lists the 1-based positions of the components
+    strictly above this one in the weak order (inclusions that would need
+    geometric arguments to decide).
     """
 
     matroid: Matroid
@@ -57,10 +58,6 @@ class DecompositionComponent:
     exact: bool = False
     provenance: tuple = ()
     possible_redundancy: tuple = ()
-
-    @property
-    def id(self):
-        return canonical_form(self.matroid).hash[:12]
 
 
 @dataclass
@@ -174,19 +171,14 @@ def load_hints(obj):
 # -- structural predicates ----------------------------------------------------
 
 
-def proper_submatroids_all_nilpotent(m, exhaustive=False):
+def proper_submatroids_all_nilpotent(m):
     """Are all proper submatroids nilpotent?
 
-    The default checks single-point deletions only and relies on nilpotence
-    passing down to smaller restrictions; ``exhaustive`` checks every proper
-    subset (validation mode, exponential).
+    Checks single-point deletions only, relying on nilpotence passing down
+    to smaller restrictions.
     """
     fm = full_mask(m.d)
-    if exhaustive:
-        subsets = range(fm)
-    else:
-        subsets = (fm & ~(1 << (p - 1)) for p in range(1, m.d + 1))
-    return all(_nilpotent_within(m, sub) for sub in subsets)
+    return all(_nilpotent_within(m, fm & ~(1 << (p - 1))) for p in range(1, m.d + 1))
 
 
 def _max_degree(m):
@@ -234,7 +226,7 @@ class _Driver:
         else:
             if self.budget is not None:
                 self.budget -= 1
-            comps = redundancy_prune(self._expand(simple, key, depth, rule), annotate=False)
+            comps = redundancy_prune(self._expand(simple, key, depth, rule))
             perm = canonical_permutation(simple)
             self.memo[key] = [replace(c, matroid=relabel(c.matroid, perm)) for c in comps]
         return [replace(c, matroid=qmap.lift(c.matroid)) for c in comps]
@@ -293,15 +285,15 @@ class _Driver:
         return out
 
 
-def redundancy_prune(components, annotate=True):
-    """Collapse duplicates, drop components strictly below an exact one, and
-    (optionally) annotate surviving dominated components.
+def redundancy_prune(components):
+    """Collapse duplicates, then drop components strictly below an exact
+    one, keeping the input order.
 
     Duplicates keep the first copy, exact when any copy is: ``realizable``
     and ``status`` are read off the matroid's simple core, so equal
     matroids carry equal values.  Only weak-order dominance by an exact
-    component justifies removal; every other surviving dominance is
-    reported, not decided.
+    component justifies removal; every other dominance is left for
+    ``decompose`` to report, not decided.
     """
     by_matroid = {}
     for c in components:
@@ -310,36 +302,32 @@ def redundancy_prune(components, annotate=True):
             by_matroid[c.matroid] = replace(prev, exact=True)
     uniq = list(by_matroid.values())
     exact_ms = [c.matroid for c in uniq if c.exact]
-    kept = []
-    for c in uniq:
-        dominated = any(
-            e != c.matroid and compare(c.matroid, e) for e in exact_ms
-        )
-        if not dominated:
-            kept.append(c)
-    if not annotate:
-        return kept
-    out = []
-    for c in kept:
-        doms = tuple(
-            other.id
-            for other in kept
-            if other.matroid != c.matroid and compare(c.matroid, other.matroid)
-        )
-        out.append(replace(c, possible_redundancy=doms))
-    return out
+    return [
+        c
+        for c in uniq
+        if not any(e != c.matroid and compare(c.matroid, e) for e in exact_ms)
+    ]
 
 
 def decompose(m, hints=None, max_depth=8, budget=None, threads=1):
     """Decompose the circuit variety of a matroid into candidate components.
 
-    Returns components sorted canonically; ``complete`` is False when the
-    depth or node budget stopped a branch early.
+    Returns components sorted canonically, each annotated with the positions
+    of the components above it; ``complete`` is False when the depth or
+    node budget stopped a branch early.
     """
     if hints is None:
         hints = default_hints()
     driver = _Driver(hints, max_depth, budget, threads)
-    comps = driver.decompose(m, 0, ("input",))
-    comps = redundancy_prune(comps, annotate=True)
+    comps = redundancy_prune(driver.decompose(m, 0, ("input",)))
     comps.sort(key=lambda c: c.matroid.sort_key())
-    return DecompositionResult(tuple(comps), driver.complete, driver.stats)
+    comps = tuple(
+        replace(
+            c,
+            possible_redundancy=tuple(
+                i for i, o in enumerate(comps, 1) if o is not c and compare(c.matroid, o.matroid)
+            ),
+        )
+        for c in comps
+    )
+    return DecompositionResult(comps, driver.complete, driver.stats)

@@ -109,7 +109,6 @@ def quotient_to_obj(qmap):
 
 def component_to_obj(comp):
     return {
-        "id": comp.id,
         "matroid": matroid_to_obj(comp.matroid),
         "status": comp.status,
         "realizable": comp.realizable,

@@ -24,7 +24,6 @@ driver runs the independent search roots, serially or over worker processes.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
@@ -385,6 +384,10 @@ def _run_roots(jobs, threads, stats, memo):
     node budgets apply per root, so partial results are reproducible too."""
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     parallel = workers > 1
+    if parallel:
+        # imported here: it pulls multiprocessing and logging into every
+        # ``import matdeg``, and only a pool of workers needs them
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         if parallel:
             results = pool.map(_solve, jobs, chunksize=4)

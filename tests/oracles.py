@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from matdeg.bitsets import mask_of, points_of
-from matdeg.core import dependent_bitmap
+from matdeg.core import dependent_bitmap, is_nilpotent, restriction
 
 
 def brute_rank(m, subset):
@@ -195,3 +195,11 @@ def brute_lift(target, m):
         for choice in product(*(fiber[t] for t in c)):
             circuits.add(mask_of(choice))
     return tuple(sorted(circuits, key=lambda c: (c.bit_count(), points_of(c))))
+
+
+def brute_proper_submatroids_all_nilpotent(m):
+    """Is the restriction of m to every proper subset nilpotent?  Builds
+    each restriction as its own matroid (exponential in m.d)."""
+    return all(
+        is_nilpotent(restriction(m, points_of(mask))[0]) for mask in range((1 << m.d) - 1)
+    )

@@ -65,12 +65,14 @@ def test_plane_blocks_pinned():
 
 def test_import_builds_nothing():
     # every table is built on first use, so importing the package costs
-    # only the import; a fresh process is needed, as the tests fill them
+    # only the import; a fresh process is needed, as the tests fill them.
+    # The process pool's module is imported only by a search that starts one
     code = """
 import sys
 import matdeg
 from matdeg import decomposition, enumeration
 assert not sys.modules["matdeg.catalog"]._CACHE
+assert "concurrent.futures.process" not in sys.modules
 for cached in (
     decomposition._default_realizable,
     enumeration._line_families,

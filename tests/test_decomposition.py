@@ -24,6 +24,8 @@ from matdeg.core import _nilpotent_within
 from matdeg.decomposition import _NAMED_HINTS, load_hints
 from matdeg.weak_order import brute_force_leq
 
+from oracles import brute_proper_submatroids_all_nilpotent
+
 
 def test_decompose_qs(qs):
     result = decompose(qs)
@@ -67,7 +69,7 @@ def test_decompose_k33dual_hinted(k33dual):
 
 def test_proper_submatroids_nilpotent(qs, fano, vamos):
     assert proper_submatroids_all_nilpotent(qs)
-    assert proper_submatroids_all_nilpotent(qs, exhaustive=True)
+    assert brute_proper_submatroids_all_nilpotent(qs)
     assert not proper_submatroids_all_nilpotent(fano)
     # the C-type degeneration of the Vamos matroid: deleting a point of the
     # big hyperplane leaves a three-plane wheel whose chain gets stuck, so
@@ -86,9 +88,7 @@ def test_proper_submatroids_nilpotent(qs, fano, vamos):
 def test_quick_mode_matches_exhaustive(small_matroids):
     random.seed(29)
     for m in random.sample(small_matroids[5], 25):
-        assert proper_submatroids_all_nilpotent(m) == proper_submatroids_all_nilpotent(
-            m, exhaustive=True
-        )
+        assert proper_submatroids_all_nilpotent(m) == brute_proper_submatroids_all_nilpotent(m)
 
 
 def test_nilpotent_within_matches_restriction():
@@ -124,22 +124,26 @@ def test_redundancy_prune_removes_below_exact(vamos):
 def test_redundancy_prune_keeps_annotates(qs):
     u26 = uniform_matroid(2, 6)
     kept = redundancy_prune([make_component(qs), make_component(u26, exact=True)])
-    # U(2,6) < QS but QS is not exact, so both stay; the domination of the
-    # uniform by nothing exact keeps it too, and the pair is annotated
+    # U(2,6) < QS but QS is not exact, so both stay
     assert {c.matroid for c in kept} == {qs, u26}
-    ann = {c.matroid: c.possible_redundancy for c in kept}
-    assert ann[u26]  # dominated by qs, possibly redundant
+    # decompose annotates the pair: the uniform names the position of QS
+    comps = decompose(qs).components
+    pos = {c.matroid: i for i, c in enumerate(comps, 1)}
+    ann = {c.matroid: c.possible_redundancy for c in comps}
+    assert ann[u26] == (pos[qs],)  # dominated by qs, possibly redundant
     assert not ann[qs]
 
 
 def test_fanodual_annotations_against_bruteforce(fanodual):
-    # each component lists the id of every other component above it
+    # each component lists the position of every other component above it
     comps = decompose(fanodual, hints=paper_hints()).components
-    for c in comps:
+    for i, c in enumerate(comps, 1):
         above = [
-            o.id for o in comps if o.matroid != c.matroid and brute_force_leq(c.matroid, o.matroid)
+            j
+            for j, o in enumerate(comps, 1)
+            if j != i and brute_force_leq(c.matroid, o.matroid)
         ]
-        assert sorted(c.possible_redundancy) == sorted(above), c.id
+        assert list(c.possible_redundancy) == above, i
     assert sum(bool(c.possible_redundancy) for c in comps) > len(comps) / 2
 
 
@@ -229,7 +233,7 @@ def test_canonical_searches_feed_answers(qs, monkeypatch):
         isomorphism, "_min_relabeling", lambda m: calls.append(m) or search(m)
     )
     decompose(md.catalog("threelines"))
-    assert len(calls) == 127
+    assert len(calls) == 109
     del calls[:]
     decompose(qs)
     assert len(calls) <= 1
@@ -244,9 +248,9 @@ def test_duplicates_reaching_prune_agree(monkeypatch, name, hints):
     seen = []
     prune = decomposition.redundancy_prune
 
-    def record(components, annotate=True):
+    def record(components):
         seen.append(list(components))
-        return prune(components, annotate)
+        return prune(components)
 
     monkeypatch.setattr(decomposition, "redundancy_prune", record)
     decompose(md.catalog(name), hints=_NAMED_HINTS[hints or "default"]())
@@ -268,13 +272,13 @@ def test_duplicates_reaching_prune_agree(monkeypatch, name, hints):
             "fano",
             None,
             {"budget": 2},
-            "c414647851a0ce6a5d123a1263dce5f676e2eba9abf51e76547e0bd016124245",
+            "0ed47265c04986db56ede638e3335d71ead2269a4bcbe81b69510fee4874eab9",
         ),
         (
             "fanodual",
             "paper",
             {"max_depth": 1},
-            "88a2392a5ac132b6141842499601524f5a6d33e769fb4442b22d5e8952a862fa",
+            "9ff5cdd185ab6cb1f666b4481cc12cb38df4fc7ab8b8613fc3eb35867fded504",
         ),
     ],
 )

@@ -367,7 +367,7 @@ def _recording_pool(monkeypatch, cpus):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
     return sizes
 
